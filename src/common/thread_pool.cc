@@ -1,15 +1,19 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 namespace mrmb {
 
-ThreadPool::ThreadPool(int num_threads) {
-  const int n = std::max(1, num_threads);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+ThreadPool::ThreadPool(int num_threads)
+    : tids_(static_cast<size_t>(std::max(1, num_threads))) {
+  workers_.reserve(tids_.size());
+  for (size_t i = 0; i < tids_.size(); ++i) {
+    workers_.emplace_back([this, i] {
+      tids_[i] = ::gettid();
+      WorkerLoop();
+    });
   }
 }
 
@@ -19,7 +23,13 @@ ThreadPool::~ThreadPool() {
     shutdown_ = true;
   }
   work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    workers_[i].join();
+    const std::string task = "/proc/self/task/" + std::to_string(tids_[i]);
+    for (int n = 0; n < 1000 && ::access(task.c_str(), F_OK) == 0; ++n) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
 }
 
 void ThreadPool::Submit(std::function<void()> task) {

@@ -16,6 +16,8 @@
 #ifndef MRMB_COMMON_THREAD_POOL_H_
 #define MRMB_COMMON_THREAD_POOL_H_
 
+#include <unistd.h>  // pid_t, gettid
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -63,7 +65,10 @@ class ThreadPool {
  public:
   // Spawns `num_threads` workers (clamped to >= 1).
   explicit ThreadPool(int num_threads);
-  // Joins all workers; pending tasks are still drained first.
+  // Joins all workers; pending tasks are still drained first. Returns once
+  // the kernel has reaped them too (or after 100 ms per worker): join
+  // returns a moment before a thread leaves /proc/self/task, and a
+  // destroyed pool must leave the process with the threads it found.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -98,6 +103,7 @@ class ThreadPool {
   int64_t in_flight_ = 0;  // tasks queued or running, all lanes
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
+  std::vector<pid_t> tids_;  // worker i's gettid(), set as it starts
 };
 
 }  // namespace mrmb

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -28,23 +27,27 @@ constexpr uint64_t kMaxFrameRawSize = 1ull << 32;
 // --- LZ4-style match finder parameters ---
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;  // 16-bit offsets
-constexpr int kHashBits = 15;
-constexpr int kMaxChainDepth = 16;
+// One position per hash bucket, 16 KB of table: small enough to live on
+// the stack and stay in L1 for every block.
+constexpr int kHashBits = 12;
+// LZ4's skip acceleration: after 2^kSkipTrigger consecutive misses the
+// probe stride grows by one byte, and keeps growing while nothing matches,
+// so incompressible stretches cost a fraction of a probe per byte.
+constexpr uint32_t kSkipTrigger = 6;
 // The classic LZ4 end-of-block restrictions: no match starts within the
 // last 12 bytes, and the final 5 bytes are always literals. They guarantee
 // the decoder's token/offset reads never straddle the end of the stream.
 constexpr size_t kMatchStartMargin = 12;
 constexpr size_t kLastLiterals = 5;
-// A match this long ends the chain walk early: on repetitive shuffle data
-// (sorted runs repeating the same serialized key) nearly every position
-// finds one on its first candidate, which is what keeps the compressor at
-// memory speed instead of O(chain depth) compares per byte.
-constexpr size_t kGoodEnoughMatch = 48;
 
-inline uint32_t HashQuad(const uint8_t* p) {
+inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
-  return (v * 2654435761u) >> (32 - kHashBits);
+  return v;
+}
+
+inline uint32_t HashQuad(const uint8_t* p) {
+  return (Load32(p) * 2654435761u) >> (32 - kHashBits);
 }
 
 // Length of the common prefix of a and b, eight bytes per compare.
@@ -67,12 +70,29 @@ inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
   return len;
 }
 
-void AppendRunLength(size_t len, std::string* out) {
-  while (len >= 255) {
-    out->push_back(static_cast<char>(0xff));
-    len -= 255;
-  }
-  out->push_back(static_cast<char>(len));
+uint8_t* AppendRunLength(size_t len, uint8_t* op) {
+  for (; len >= 255; len -= 255) *op++ = 0xff;
+  *op++ = static_cast<uint8_t>(len);
+  return op;
+}
+
+// Writes one sequence: `lit_len` literals, then a match of `match_len`
+// bytes `offset` back (match_len 0: literals only, the block's final
+// sequence). Returns the new output cursor.
+uint8_t* EmitSequence(const uint8_t* literals, size_t lit_len, size_t offset,
+                      size_t match_len, uint8_t* op) {
+  uint8_t* token = op++;
+  *token = static_cast<uint8_t>((lit_len < 15 ? lit_len : 15) << 4);
+  if (lit_len >= 15) op = AppendRunLength(lit_len - 15, op);
+  std::memcpy(op, literals, lit_len);
+  op += lit_len;
+  if (match_len == 0) return op;
+  *op++ = static_cast<uint8_t>(offset & 0xff);
+  *op++ = static_cast<uint8_t>(offset >> 8);
+  const size_t code = match_len - kMinMatch;
+  *token |= static_cast<uint8_t>(code < 15 ? code : 15);
+  if (code >= 15) op = AppendRunLength(code - 15, op);
+  return op;
 }
 
 // CRC32C over the method+raw_len header bytes followed by the payload —
@@ -113,83 +133,54 @@ void Lz4CompressBlock(std::string_view input, std::string* out) {
   out->clear();
   const size_t n = input.size();
   if (n == 0) return;
-  out->reserve(Lz4CompressBound(n));
-  const uint8_t* base = reinterpret_cast<const uint8_t*>(input.data());
-
-  const auto emit_literals = [&](size_t anchor, size_t pos, int match_nibble) {
-    const size_t lit_len = pos - anchor;
-    const uint8_t token =
-        static_cast<uint8_t>((lit_len < 15 ? lit_len : 15) << 4) |
-        static_cast<uint8_t>(match_nibble);
-    out->push_back(static_cast<char>(token));
-    if (lit_len >= 15) AppendRunLength(lit_len - 15, out);
-    out->append(input.data() + anchor, lit_len);
-  };
-
-  if (n < kMatchStartMargin) {
-    emit_literals(0, n, 0);
-    return;
-  }
-
-  std::vector<int32_t> head(size_t{1} << kHashBits, -1);
-  std::vector<int32_t> chain(n, -1);
-  const size_t match_start_limit = n - kMatchStartMargin;
-  const size_t match_end_limit = n - kLastLiterals;
+  // Every sequence fits the bound, so the cursor below writes without
+  // capacity checks; the string is trimmed to what was written.
+  out->resize(Lz4CompressBound(n));
+  const uint8_t* const base = reinterpret_cast<const uint8_t*>(input.data());
+  uint8_t* const begin = reinterpret_cast<uint8_t*>(out->data());
+  uint8_t* op = begin;
   size_t anchor = 0;
-  size_t pos = 0;
-  while (pos < match_start_limit) {
-    // Greedy hash-chain search: walk the chain of prior positions with the
-    // same 4-byte hash, keep the longest match within the offset window.
-    const uint32_t h = HashQuad(base + pos);
-    const size_t max_len = match_end_limit - pos;
-    size_t best_len = 0;
-    size_t best_offset = 0;
-    int depth = kMaxChainDepth;
-    for (int32_t cand = head[h];
-         cand >= 0 && depth-- > 0 &&
-         pos - static_cast<size_t>(cand) <= kMaxOffset;
-         cand = chain[static_cast<size_t>(cand)]) {
-      // A longer match must agree at the current best length; one byte
-      // rejects most candidates without a full extension.
-      if (best_len > 0 &&
-          (best_len >= max_len ||
-           base[static_cast<size_t>(cand) + best_len] !=
-               base[pos + best_len])) {
+  if (n > kMatchStartMargin) {
+    // Single-probe (LZ4-fast) finder: each bucket remembers the last
+    // position that hashed there, and a position gets exactly one
+    // candidate. Every bucket starts out naming position 0, a real
+    // candidate like any other — the 4-byte compare decides.
+    uint32_t table[size_t{1} << kHashBits] = {};
+    const size_t match_start_limit = n - kMatchStartMargin;
+    const size_t match_end_limit = n - kLastLiterals;
+    uint32_t misses = 1u << kSkipTrigger;
+    size_t pos = 1;
+    while (pos < match_start_limit) {
+      const uint32_t h = HashQuad(base + pos);
+      size_t cand = table[h];
+      table[h] = static_cast<uint32_t>(pos);
+      if (pos - cand > kMaxOffset ||
+          Load32(base + cand) != Load32(base + pos)) {
+        pos += misses++ >> kSkipTrigger;
         continue;
       }
-      const size_t len =
-          MatchLength(base + static_cast<size_t>(cand), base + pos, max_len);
-      if (len >= kMinMatch && len > best_len) {
-        best_len = len;
-        best_offset = pos - static_cast<size_t>(cand);
-        if (best_len >= kGoodEnoughMatch) break;
+      size_t len = kMinMatch + MatchLength(base + cand + kMinMatch,
+                                           base + pos + kMinMatch,
+                                           match_end_limit - pos - kMinMatch);
+      // Extend backwards over literals a growing probe stride jumped past.
+      while (pos > anchor && cand > 0 && base[pos - 1] == base[cand - 1]) {
+        --pos;
+        --cand;
+        ++len;
       }
-    }
-    if (best_len >= kMinMatch) {
-      emit_literals(anchor, pos,
-                    static_cast<int>(best_len - kMinMatch < 15
-                                         ? best_len - kMinMatch
-                                         : 15));
-      out->push_back(static_cast<char>(best_offset & 0xff));
-      out->push_back(static_cast<char>(best_offset >> 8));
-      if (best_len - kMinMatch >= 15) {
-        AppendRunLength(best_len - kMinMatch - 15, out);
+      op = EmitSequence(base + anchor, pos - anchor, pos - cand, len, op);
+      pos += len;
+      anchor = pos;
+      misses = 1u << kSkipTrigger;
+      // Positions inside a match are never probed; index one near its
+      // end, as LZ4 does, so the table keeps up with the data just seen.
+      if (pos < match_start_limit) {
+        table[HashQuad(base + pos - 2)] = static_cast<uint32_t>(pos - 2);
       }
-      const size_t end = pos + best_len;
-      for (; pos < end && pos < match_start_limit; ++pos) {
-        const uint32_t hh = HashQuad(base + pos);
-        chain[pos] = head[hh];
-        head[hh] = static_cast<int32_t>(pos);
-      }
-      pos = end;
-      anchor = end;
-    } else {
-      chain[pos] = head[h];
-      head[h] = static_cast<int32_t>(pos);
-      ++pos;
     }
   }
-  emit_literals(anchor, n, 0);
+  op = EmitSequence(base + anchor, n - anchor, 0, 0, op);
+  out->resize(static_cast<size_t>(op - begin));
 }
 
 Status Lz4DecompressBlock(std::string_view input, size_t raw_len,

@@ -5,11 +5,11 @@
 // gain" — is a CPU-vs-bytes trade, and measuring it honestly needs a codec
 // fast enough that the CPU side doesn't drown the win. This module provides:
 //
-//   - An in-repo LZ4-style byte-oriented block codec (greedy hash-chain
-//     match finder on 4-byte quads, literal/match token framing with the
-//     classic 4+4 bit token and 255-run length extensions, 16-bit match
-//     offsets). No entropy stage, so both directions run at memory-ish
-//     speed — the Hadoop "speed codec" role (lz4/snappy).
+//   - An in-repo LZ4-style byte-oriented block codec (LZ4-fast
+//     single-probe match finder on 4-byte quads, literal/match token
+//     framing with the classic 4+4 bit token and 255-run length extensions,
+//     16-bit match offsets). No entropy stage, so both directions run at
+//     memory-ish speed — the Hadoop "speed codec" role (lz4/snappy).
 //   - A framed wrapper that prefixes any payload with a checksummed header
 //     (magic, method, raw length, CRC32C over method+length+payload) and
 //     falls back to a stored block whenever compression does not shrink the

@@ -251,23 +251,6 @@ Result<std::string> StoredSpill::ReadPartition(int partition,
   return out;
 }
 
-Result<SpillSegment> StoredSpill::ReadSegment(bool verify) const {
-  SpillSegment segment;
-  segment.partitions = partitions_;
-  segment.sealed = true;
-  segment.data.reserve(static_cast<size_t>(logical_bytes_));
-  for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (partitions_[p].offset != static_cast<int64_t>(segment.data.size())) {
-      return Status::Internal(
-          StringPrintf("extent partition %zu is not contiguous", p));
-    }
-    MRMB_ASSIGN_OR_RETURN(std::string bytes,
-                          ReadPartition(static_cast<int>(p), verify));
-    segment.data.append(bytes);
-  }
-  return segment;
-}
-
 // --- SpillStore -----------------------------------------------------------
 
 SpillStore::SpillStore(const SpillStoreOptions& options, SpillIoHooks* hooks,
@@ -344,7 +327,10 @@ Result<std::string> SpillStore::BuildExtentImage(
           static_cast<size_t>(off),
           static_cast<size_t>(std::min(options_.block_bytes,
                                        range.length - off)));
-      if (options_.block_codec == MapOutputCodec::kNone) {
+      // A partition that already holds a codec frame (raw_length >= 0) is
+      // stored as is: compressing compressed bytes again only burns CPU.
+      if (options_.block_codec == MapOutputCodec::kNone ||
+          range.raw_length >= 0) {
         BlockStore(chunk, &frame);
       } else {
         MRMB_RETURN_IF_ERROR(
@@ -368,7 +354,8 @@ Result<std::string> SpillStore::BuildExtentImage(
     const int64_t final_frame = refs->back().frame_len;
     const int64_t drop = std::clamp<int64_t>(
         hooks_->TornWriteBytes(task, attempt, final_frame), 0, final_frame);
-    if (drop > 0) image.resize(image.size() - static_cast<size_t>(drop));
+    // erase: GCC 12 -O3 warns -Wrestrict on resize's (unreachable) grow.
+    if (drop > 0) image.erase(image.size() - static_cast<size_t>(drop));
   }
   *blocks_built = block_index;
   return image;

@@ -132,10 +132,10 @@ struct SpillStoreOptions {
   // Raw segment bytes per block frame — the unit of checksum verification,
   // repair, and caching.
   int64_t block_bytes = 256ll << 10;
-  // Codec for block payloads. The stored-block fallback absorbs
-  // already-compressed segments (a frame is never larger than raw + 17
-  // bytes), so kLz4 is a safe blanket default; kNone writes stored frames
-  // (integrity framing without compression).
+  // Codec for block payloads of raw partitions. Partitions that already
+  // hold a codec frame (PartitionRange::raw_length >= 0) are always written
+  // as stored frames, never compressed twice; kNone writes stored frames
+  // for everything (integrity framing without compression).
   MapOutputCodec block_codec = MapOutputCodec::kLz4;
   // Verify (and repair) every block of each extent immediately after the
   // seal rename — write-time scrubbing. Unrepairable damage fails Put with
@@ -256,10 +256,6 @@ class StoredSpill {
   // repairs. kIOError reports a (possibly injected) persistent read error.
   Result<std::string> ReadPartition(int partition,
                                     bool verify_partition_crc) const;
-
-  // Rehydrates the whole segment: partition metadata verbatim plus the
-  // reassembled bytes, optionally verifying every partition CRC.
-  Result<SpillSegment> ReadSegment(bool verify) const;
 
   const std::string& path() const { return path_; }
   int64_t file_bytes() const { return file_bytes_; }

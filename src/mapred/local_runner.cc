@@ -79,17 +79,20 @@ class Watchdog {
  public:
   // timeout_ms <= 0 disables the watchdog (Arm becomes a no-op).
   explicit Watchdog(int64_t timeout_ms) : timeout_ms_(timeout_ms) {
-    if (timeout_ms_ > 0) thread_ = std::thread([this] { Loop(); });
+    if (timeout_ms_ > 0) {
+      thread_ = std::make_unique<ThreadPool>(1);
+      thread_->Submit([this] { Loop(); });
+    }
   }
 
   ~Watchdog() {
-    if (thread_.joinable()) {
+    if (thread_ != nullptr) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
         shutdown_ = true;
       }
       cv_.notify_all();
-      thread_.join();
+      thread_.reset();
     }
   }
 
@@ -150,7 +153,7 @@ class Watchdog {
   std::vector<Entry> entries_;
   int64_t last_ticket_ = 0;
   bool shutdown_ = false;
-  std::thread thread_;
+  std::unique_ptr<ThreadPool> thread_;  // runs Loop(); null when disabled
 };
 
 // Per-stage combine accounting for one map attempt. Bytes are logical
@@ -238,18 +241,18 @@ class LocalMapContext final : public MapContext {
   int task_id() const override { return task_id_; }
   const Status& status() const { return status_; }
 
-  // Finishes the task: final spill + merge to a single sealed segment.
+  // Finishes the task: final flush, merged with any earlier spills into a
+  // single sealed segment.
   Result<SpillSegment> Finalize() {
     MRMB_RETURN_IF_ERROR(status_);
-    if (buffer_.records() > 0 || spills_.empty()) SpillBuffer();
+    // Hadoop's single-spill shortcut (MapTask.mergeParts): when the final
+    // flush is the only spill, the sealed, combined buffer already is the
+    // map output, so it never takes a detour through the spill store.
+    if (spills_.empty()) return SealBuffer();
+    // Emit appends the record that triggered each earlier spill, so the
+    // buffer is non-empty here and at least two spills merge below.
+    SpillBuffer();
     MRMB_RETURN_IF_ERROR(status_);  // SpillBuffer can fail a disk write
-    if (spills_.size() == 1) {
-      if (spills_[0].stored == nullptr) return std::move(spills_[0].resident);
-      // Single disk-backed spill: rehydrate it verified — disk bytes are
-      // untrusted, and a damaged extent must fail the attempt (a retry
-      // reproduces the output), never feed the merge garbage.
-      return spills_[0].stored->ReadSegment(/*verify=*/true);
-    }
     // Multi-spill merge, partition by partition — the same per-partition
     // MergeFramedRuns + final seal MergeSegments performs, so the result is
     // byte-identical whether each input run sat in RAM or on disk.
@@ -261,7 +264,7 @@ class LocalMapContext final : public MapContext {
     const bool merge_combine =
         combiner_ != nullptr && conf_.min_spills_for_combine > 0 &&
         spills_.size() >= static_cast<size_t>(conf_.min_spills_for_combine);
-    const size_t num_partitions = SlotPartitions(spills_[0]).size();
+    const size_t num_partitions = static_cast<size_t>(conf_.num_reduces);
     SpillSegment out;
     int64_t total_bytes = 0;
     for (const SpillSlot& slot : spills_) {
@@ -331,7 +334,7 @@ class LocalMapContext final : public MapContext {
   }
 
   int64_t emitted() const { return emitted_; }
-  int64_t spill_count() const { return static_cast<int64_t>(spills_.size()); }
+  int64_t spill_count() const { return spill_count_; }
   int64_t combine_removed() const { return combine_removed_; }
   const MapCombineStats& combine_stats() const { return combine_; }
   int64_t spilled_bytes() const { return spilled_bytes_; }
@@ -345,15 +348,12 @@ class LocalMapContext final : public MapContext {
     std::shared_ptr<const StoredSpill> stored;
   };
 
-  static const std::vector<SpillSegment::PartitionRange>& SlotPartitions(
-      const SpillSlot& slot) {
-    return slot.stored != nullptr ? slot.stored->partitions()
-                                  : slot.resident.partitions;
-  }
-
-  void SpillBuffer() {
+  // Sorts, seals and (per-spill) combines the buffer's contents, leaving
+  // the buffer empty. Each call is one spill in spill_count().
+  SpillSegment SealBuffer() {
     buffer_.Sort(sort_pool_.get());
     SpillSegment spill = buffer_.ToSpill();
+    ++spill_count_;
     if (combiner_ != nullptr) {
       const int64_t before = spill.total_records();
       const int64_t before_bytes = spill.total_bytes();
@@ -371,6 +371,13 @@ class LocalMapContext final : public MapContext {
       combine_removed_ += before - spill.total_records();
     }
     buffer_.Clear();
+    return spill;
+  }
+
+  // Seals the buffer as one spill and parks it: in an extent file once the
+  // attempt's resident spill bytes would exceed the budget, else in RAM.
+  void SpillBuffer() {
+    SpillSegment spill = SealBuffer();
     const int64_t bytes = spill.total_bytes();
     if (store_ != nullptr && resident_spill_bytes_ + bytes >
                                  spill_budget_bytes_) {
@@ -412,6 +419,7 @@ class LocalMapContext final : public MapContext {
   std::unique_ptr<ThreadPool> sort_pool_;  // null => sort inline
   KvBuffer buffer_;
   std::vector<SpillSlot> spills_;
+  int64_t spill_count_ = 0;
   int64_t emitted_ = 0;
   int64_t combine_removed_ = 0;
   MapCombineStats combine_;
@@ -710,23 +718,33 @@ MapAttemptOutcome RunMapAttempt(const JobConf& conf, int task, int attempt,
           : MakePartitioner(conf.pattern,
                             conf.seed + static_cast<uint64_t>(task) * 7919,
                             conf.records_per_map, conf.zipf_exponent);
-  LocalMapContext context(
+  auto context = std::make_unique<LocalMapContext>(
       conf, task, attempt, std::move(partitioner),
       combiner_factory != nullptr ? combiner_factory(task) : nullptr, cancel,
       store);
   std::string key;
   std::string value;
-  while (context.status().ok() && reader->Next(&key, &value)) {
+  while (context->status().ok() && reader->Next(&key, &value)) {
     ++outcome.stats.input_records;
-    mapper->Map(key, value, &context);
+    mapper->Map(key, value, context.get());
   }
-  Result<SpillSegment> segment = context.Finalize();
+  Result<SpillSegment> segment = context->Finalize();
   if (!segment.ok()) {
     outcome.status = segment.status();
     return outcome;
   }
   outcome.output = std::move(segment).value();
   outcome.stats.output_bytes = outcome.output.total_bytes();
+  outcome.stats.output_records = context->emitted();
+  outcome.stats.spill_count = context->spill_count();
+  outcome.stats.combine_removed = context->combine_removed();
+  outcome.stats.combine = context->combine_stats();
+  outcome.stats.spilled_bytes = context->spilled_bytes();
+  outcome.stats.spill_extents = context->spill_extents();
+  outcome.stats.spill_degradations = context->spill_degradations();
+  // Free the sort buffer (and the sort pool) before the output is
+  // compressed and stored: the sealed output no longer needs them.
+  context.reset();
   // With a codec selected, every sealed partition is re-framed into one
   // compressed block whose CRC covers the on-wire bytes; reducers verify
   // and (simulated-)transfer only the compressed form.
@@ -745,13 +763,6 @@ MapAttemptOutcome RunMapAttempt(const JobConf& conf, int task, int attempt,
   // Inject any scheduled bit flips *after* sealing, so the stored CRCs
   // describe the pristine bytes and the flip is detectable downstream.
   injector.MaybeCorruptMapOutput(task, attempt, &outcome.output);
-  outcome.stats.output_records = context.emitted();
-  outcome.stats.spill_count = context.spill_count();
-  outcome.stats.combine_removed = context.combine_removed();
-  outcome.stats.combine = context.combine_stats();
-  outcome.stats.spilled_bytes = context.spilled_bytes();
-  outcome.stats.spill_extents = context.spill_extents();
-  outcome.stats.spill_degradations = context.spill_degradations();
   if (store != nullptr) {
     // With the disk engine on, the final output lives on disk too; fetches
     // read partitions back through the store's verify/repair path. ENOSPC

@@ -137,7 +137,6 @@ struct ShuffleTransportServer::Connection {
 struct ShuffleTransportServer::Reactor {
   int epoll_fd = -1;
   int wake_fd = -1;
-  std::thread thread;
   std::mutex mu;
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
 };
@@ -198,10 +197,10 @@ Result<std::unique_ptr<ShuffleTransportServer>> ShuffleTransportServer::Start(
     return Errno("epoll_ctl(listen)");
   }
 
+  server->threads_ = std::make_unique<ThreadPool>(server->options_.reactors);
   for (auto& reactor : server->reactors_) {
-    Reactor* raw = reactor.get();
-    reactor->thread =
-        std::thread([server = server.get(), raw] { server->Run(raw); });
+    server->threads_->Submit(
+        [server = server.get(), raw = reactor.get()] { server->Run(raw); });
   }
   return server;
 }
@@ -215,9 +214,7 @@ ShuffleTransportServer::~ShuffleTransportServer() {
           ::write(reactor->wake_fd, &one, sizeof(one));
     }
   }
-  for (auto& reactor : reactors_) {
-    if (reactor->thread.joinable()) reactor->thread.join();
-  }
+  threads_.reset();  // joins every reactor
   for (auto& reactor : reactors_) {
     std::lock_guard<std::mutex> lock(reactor->mu);
     for (auto& [fd, conn] : reactor->conns) ::close(fd);

@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "io/kv_buffer.h"
 #include "io/spill_store.h"
 #include "rpc/shuffle_wire.h"
@@ -171,6 +172,7 @@ class ShuffleTransportServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::vector<std::unique_ptr<Reactor>> reactors_;
+  std::unique_ptr<ThreadPool> threads_;  // one worker runs each reactor
   std::atomic<size_t> next_reactor_{0};
   std::atomic<bool> stopping_{false};
 

@@ -92,6 +92,22 @@ TEST(Lz4BlockTest, RoundTripsEdgeSizes) {
         << "len " << len;
     EXPECT_EQ(decoded, raw) << "len " << len;
   }
+  // A repeat that runs to the end of the block: the match must stop short
+  // of the final 5 bytes, which the last sequence carries as literals.
+  for (size_t len : {size_t{13}, size_t{14}, size_t{17}, size_t{20},
+                     size_t{64}, size_t{4096}}) {
+    std::string raw;
+    for (size_t i = 0; i < len; ++i) raw.push_back("abc"[i % 3]);
+    std::string compressed;
+    Lz4CompressBlock(raw, &compressed);
+    ASSERT_GE(compressed.size(), 5u) << "len " << len;
+    EXPECT_EQ(compressed.substr(compressed.size() - 5), raw.substr(len - 5))
+        << "len " << len;
+    std::string decoded;
+    ASSERT_TRUE(Lz4DecompressBlock(compressed, raw.size(), &decoded).ok())
+        << "len " << len;
+    EXPECT_EQ(decoded, raw) << "len " << len;
+  }
 }
 
 TEST(Lz4BlockTest, RoundTripsLongRuns) {
@@ -105,6 +121,30 @@ TEST(Lz4BlockTest, RoundTripsLongRuns) {
   std::string decoded;
   ASSERT_TRUE(Lz4DecompressBlock(compressed, raw.size(), &decoded).ok());
   EXPECT_EQ(decoded, raw);
+
+  // The edge of the 16-bit offset window: a random block repeated exactly
+  // 65535 bytes later is one match; 65536 bytes later it is out of reach
+  // and must stay literals (an offset of 65536 does not fit the format).
+  Rng rng(0x0FF5E7);
+  constexpr size_t kUnique = 4096;
+  std::string unique(kUnique, '\0');
+  rng.Fill(unique.data(), unique.size());
+  for (size_t distance : {size_t{65535}, size_t{65536}}) {
+    std::string far = unique;
+    far.append(distance - kUnique, 'z');
+    far += unique;
+    far += "tail!";
+    Lz4CompressBlock(far, &compressed);
+    // The filler itself costs ~240 bytes of run-length extension.
+    if (distance <= 65535) {
+      EXPECT_LT(compressed.size(), kUnique + 512) << "distance " << distance;
+    } else {
+      EXPECT_GT(compressed.size(), 2 * kUnique) << "distance " << distance;
+    }
+    ASSERT_TRUE(Lz4DecompressBlock(compressed, far.size(), &decoded).ok())
+        << "distance " << distance;
+    EXPECT_EQ(decoded, far) << "distance " << distance;
+  }
 }
 
 TEST(Lz4BlockTest, RandomBlocksRoundTripAtRandomLengths) {
@@ -124,6 +164,20 @@ TEST(Lz4BlockTest, RandomBlocksRoundTripAtRandomLengths) {
     ASSERT_TRUE(Lz4DecompressBlock(compressed, raw.size(), &decoded).ok());
     EXPECT_EQ(decoded, raw);
   }
+  // A long incompressible stretch grows the probe stride to dozens of
+  // bytes; a repeat of its start must still be found, extended back to
+  // where it begins, and cost a few bytes rather than its length.
+  constexpr size_t kStretch = 48 << 10;
+  std::string raw(kStretch, '\0');
+  rng.Fill(raw.data(), raw.size());
+  raw += raw.substr(0, 8 << 10);
+  raw += "tail!";
+  std::string compressed;
+  Lz4CompressBlock(raw, &compressed);
+  EXPECT_LT(compressed.size(), kStretch + 512);
+  std::string decoded;
+  ASSERT_TRUE(Lz4DecompressBlock(compressed, raw.size(), &decoded).ok());
+  EXPECT_EQ(decoded, raw);
 }
 
 TEST(BlockCodecFrameTest, RoundTripsForBothCodecs) {

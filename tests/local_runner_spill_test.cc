@@ -189,6 +189,24 @@ TEST(LocalRunnerSpillTest, SpilledJobMatchesInMemoryFingerprint) {
   EXPECT_EQ(spilled.result.map_retries, 0);
 }
 
+TEST(LocalRunnerSpillTest, LoneSpillMapsWriteOneExtentEach) {
+  // A sort buffer that holds a whole map's output: each map spills once,
+  // at its final flush. That spill is the map's output, so it is
+  // compressed once and written once — no spill extent beside the final
+  // one, and no bytes beyond the wire bytes and per-block framing.
+  JobConf conf = SpillConf();
+  conf.map_output_codec = MapOutputCodec::kLz4;
+  conf.io_sort_bytes = 1 << 20;
+  const JobOutcome outcome = RunGoldenJob(conf);
+  EXPECT_EQ(outcome.fingerprint, InMemoryFingerprint());
+  EXPECT_EQ(outcome.result.spill_count, conf.num_maps);
+  EXPECT_EQ(outcome.result.spill_extents, conf.num_maps);
+  EXPECT_GT(outcome.result.spilled_bytes, 0);
+  EXPECT_LE(static_cast<double>(outcome.result.spilled_bytes),
+            1.01 * static_cast<double>(outcome.result.map_output_wire_bytes));
+  EXPECT_EQ(outcome.result.spill_blocks_lost, 0);
+}
+
 TEST(LocalRunnerSpillTest, FingerprintStableAcrossCodecsAndMmap) {
   for (MapOutputCodec codec : {MapOutputCodec::kNone, MapOutputCodec::kLz4,
                                MapOutputCodec::kDeflate}) {

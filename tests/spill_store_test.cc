@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "io/block_codec.h"
 #include "io/checksum.h"
+#include "mapred/map_output.h"
 
 namespace mrmb {
 namespace {
@@ -104,19 +105,19 @@ TEST(SpillStoreTest, RoundTripAcrossCodecs) {
     const StoredSpill& spill = **put;
     EXPECT_EQ(spill.logical_bytes(), segment.total_bytes());
     EXPECT_GT(spill.file_bytes(), 0);
+    std::string reassembled;
     for (int p = 0; p < 4; ++p) {
       auto bytes = spill.ReadPartition(p, /*verify_partition_crc=*/true);
       ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
       EXPECT_EQ(*bytes, segment.PartitionData(p)) << "codec "
                                                   << MapOutputCodecName(codec);
+      reassembled += *bytes;
     }
-    auto round = spill.ReadSegment(/*verify=*/true);
-    ASSERT_TRUE(round.ok()) << round.status().ToString();
-    EXPECT_EQ(round->data, segment.data);
-    ASSERT_EQ(round->partitions.size(), segment.partitions.size());
+    EXPECT_EQ(reassembled, segment.data);
+    ASSERT_EQ(spill.partitions().size(), segment.partitions.size());
     for (size_t p = 0; p < segment.partitions.size(); ++p) {
-      EXPECT_EQ(round->partitions[p].records, segment.partitions[p].records);
-      EXPECT_EQ(round->partitions[p].crc, segment.partitions[p].crc);
+      EXPECT_EQ(spill.partitions()[p].records, segment.partitions[p].records);
+      EXPECT_EQ(spill.partitions()[p].crc, segment.partitions[p].crc);
     }
   }
 }
@@ -133,9 +134,44 @@ TEST(SpillStoreTest, SmallBlocksAndEmptyPartitionRoundTrip) {
   auto empty = (*put)->ReadPartition(1, true);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
-  auto round = (*put)->ReadSegment(true);
-  ASSERT_TRUE(round.ok()) << round.status().ToString();
-  EXPECT_EQ(round->data, segment.data);
+  std::string reassembled;
+  for (int p = 0; p < 3; ++p) {
+    auto bytes = (*put)->ReadPartition(p, true);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    reassembled += *bytes;
+  }
+  EXPECT_EQ(reassembled, segment.data);
+}
+
+TEST(SpillStoreTest, CodecFramedPartitionsAreStoredNotCompressedAgain) {
+  // A CompressSegment output already holds one lz4 frame per partition.
+  // Its extent must carry those bytes verbatim in stored frames: the wire
+  // bytes plus a 4-byte length prefix and a 17-byte header per block.
+  SpillStoreOptions options;
+  options.block_codec = MapOutputCodec::kLz4;
+  options.block_bytes = 256;  // several blocks per partition frame
+  auto store = OpenStore(options);
+  const SpillSegment raw = MakeSegment(3, 200000, 0x5E, /*empty_partition=*/1,
+                                       /*compressible=*/true);
+  auto wire = CompressSegment(MapOutputCodec::kLz4, raw);
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  auto put = store->Put(*wire, 0, 0);
+  ASSERT_TRUE(put.ok()) << put.status().ToString();
+  const StoredSpill& spill = **put;
+  const int64_t blocks = static_cast<int64_t>(spill.blocks().size());
+  EXPECT_GT(blocks, 3);
+  EXPECT_EQ(spill.file_bytes(),
+            wire->total_bytes() +
+                blocks * static_cast<int64_t>(4 + kCodecFrameHeaderSize));
+  for (const StoredSpill::BlockRef& block : spill.blocks()) {
+    EXPECT_EQ(block.frame_len,
+              block.raw_len + static_cast<int64_t>(kCodecFrameHeaderSize));
+  }
+  for (int p = 0; p < 3; ++p) {
+    auto bytes = spill.ReadPartition(p, /*verify_partition_crc=*/true);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(*bytes, wire->PartitionData(p)) << "partition " << p;
+  }
 }
 
 TEST(SpillStoreTest, MmapReadsMatchPread) {

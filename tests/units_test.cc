@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -26,6 +27,13 @@ struct ByteCase {
   const char* text;
   int64_t expected;
 };
+
+// gtest_discover_tests names each case after its printed parameter. Without
+// these printers gtest dumps the case struct as raw bytes, pointer included,
+// and the ctest names would change with the load address of every build.
+void PrintTo(const ByteCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 
 class ParseBytesTest : public ::testing::TestWithParam<ByteCase> {};
 
@@ -61,6 +69,10 @@ struct DurationCase {
   const char* text;
   SimTime expected;
 };
+
+void PrintTo(const DurationCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 
 class ParseDurationTest : public ::testing::TestWithParam<DurationCase> {};
 
