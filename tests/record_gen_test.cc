@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "io/byte_buffer.h"
+#include "io/checksum.h"
 
 namespace mrmb {
 namespace {
@@ -191,6 +192,55 @@ TEST(RecordGenTest, IntWritableRecords) {
   EXPECT_EQ(key_a, key_b);
   generator.SerializedKey(2, &key_b);
   EXPECT_NE(key_a, key_b);
+}
+
+// CRC32C over the serialized keys and values of 25 records for every
+// (key_size, value_size) pair below: 500 keys and 500 values per type.
+// Sizes straddle the 8-byte key id and the generator's 8-byte draws; the
+// record indices pass 2^31, where IntWritable values wrap.
+uint32_t GeneratorFingerprint(DataType type) {
+  uint32_t crc = kCrc32cInit;
+  std::string key;
+  std::string value;
+  for (const size_t key_size : {8u, 9u, 50u, 512u}) {
+    for (const size_t value_size : {0u, 1u, 7u, 50u, 512u}) {
+      RecordGenerator::Options options;
+      options.type = type;
+      options.key_size = key_size;
+      options.value_size = value_size;
+      options.num_unique_keys = 65536;
+      options.seed = 0x5eed + key_size * 1000 + value_size;
+      const RecordGenerator generator(options);
+      for (int64_t r = 0; r < 25; ++r) {
+        const int64_t index =
+            r * 123456789 + static_cast<int64_t>(key_size + value_size);
+        generator.SerializedKey(generator.KeyIdFor(index), &key);
+        generator.SerializedValue(index, &value);
+        crc = Crc32c(crc, key);
+        crc = Crc32c(crc, value);
+      }
+    }
+  }
+  return crc;
+}
+
+// Known-answer goldens for every generated byte. perfbench's oracle and
+// the simulator's codec-ratio sample are derived from RecordGenerator, so
+// only a constant can catch a change in what it emits.
+TEST(RecordGenTest, BytesWritableRecordsMatchGolden) {
+  EXPECT_EQ(GeneratorFingerprint(DataType::kBytesWritable), 0xfc32d113u);
+}
+
+TEST(RecordGenTest, TextRecordsMatchGolden) {
+  EXPECT_EQ(GeneratorFingerprint(DataType::kText), 0xda2a83a9u);
+}
+
+TEST(RecordGenTest, IntWritableRecordsMatchGolden) {
+  EXPECT_EQ(GeneratorFingerprint(DataType::kIntWritable), 0x9f8f43c9u);
+}
+
+TEST(RecordGenTest, LongWritableRecordsMatchGolden) {
+  EXPECT_EQ(GeneratorFingerprint(DataType::kLongWritable), 0x1cab6cdbu);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
+
+#include "io/checksum.h"
 
 namespace mrmb {
 namespace {
@@ -120,6 +123,46 @@ TEST(RngTest, FillIsDeterministicAndCoversLengths) {
     b.Fill(y.data(), len);
     EXPECT_EQ(x, y) << "len=" << len;
   }
+}
+
+// Known answers for Fill: each 64-bit draw lands in little-endian byte
+// order, and a tail shorter than 8 bytes takes the low bytes of one more
+// draw. These bytes feed every generated record, so they are pinned.
+TEST(RngTest, FillMatchesKnownAnswerForShortLengths) {
+  // Rng(55).Fill(out, 17), as hex; a shorter fill is its prefix.
+  const std::string expected_hex = "2b4fe466b5648962aac0fd4b450a6f662a";
+  for (size_t len = 0; len <= 17; ++len) {
+    Rng rng(55);
+    std::string buf(len, '\0');
+    rng.Fill(buf.data(), len);
+    std::string hex;
+    for (const char c : buf) {
+      static const char kDigits[] = "0123456789abcdef";
+      hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+      hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+    }
+    EXPECT_EQ(hex, expected_hex.substr(0, 2 * len)) << "len=" << len;
+  }
+}
+
+TEST(RngTest, FillKnownAnswerTailsConsumeOneDraw) {
+  // Lengths 0..17 filled back to back from one stream: every partial tail
+  // consumes a whole draw, so the next fill starts on a fresh one.
+  Rng rng(56);
+  uint32_t crc = kCrc32cInit;
+  for (size_t len = 0; len <= 17; ++len) {
+    std::string buf(len, '\0');
+    rng.Fill(buf.data(), len);
+    crc = Crc32c(crc, buf);
+  }
+  EXPECT_EQ(crc, 0xe676533fu);
+}
+
+TEST(RngTest, FillMatchesKnownAnswerFor4096Bytes) {
+  Rng rng(61);
+  std::string buf(4096, '\0');
+  rng.Fill(buf.data(), buf.size());
+  EXPECT_EQ(Crc32c(buf), 0xdfbf9ea8u);
 }
 
 TEST(RngTest, FillProducesVariedBytes) {
