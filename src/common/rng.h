@@ -9,7 +9,9 @@
 #ifndef MRMB_COMMON_RNG_H_
 #define MRMB_COMMON_RNG_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -78,22 +80,13 @@ class Rng {
   // Bernoulli trial with success probability `p` (clamped to [0, 1]).
   bool Bernoulli(double p) { return NextDouble() < p; }
 
-  // Fills `out[0..len)` with pseudo-random bytes.
+  // Fills `out[0..len)` with pseudo-random bytes: each 64-bit draw in
+  // little-endian byte order, and a tail shorter than 8 bytes takes the low
+  // bytes of one more draw.
   void Fill(char* out, size_t len) {
     size_t i = 0;
-    while (i + 8 <= len) {
-      const uint64_t v = Next64();
-      for (int b = 0; b < 8; ++b) {
-        out[i + static_cast<size_t>(b)] = static_cast<char>(v >> (8 * b));
-      }
-      i += 8;
-    }
-    if (i < len) {
-      const uint64_t v = Next64();
-      for (int b = 0; b < 8 && i < len; ++i, ++b) {
-        out[i] = static_cast<char>(v >> (8 * b));
-      }
-    }
+    for (; i + 8 <= len; i += 8) StoreLittleEndian(Next64(), out + i, 8);
+    if (i < len) StoreLittleEndian(Next64(), out + i, len - i);
   }
 
   // Derives an independent child stream; used to give each task its own
@@ -103,6 +96,15 @@ class Rng {
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  // Copies the low `n` little-endian bytes of `v` with one memcpy: GCC
+  // keeps a per-byte shift loop as eight separate stores.
+  static void StoreLittleEndian(uint64_t v, char* out, size_t n) {
+    if constexpr (std::endian::native == std::endian::big) {
+      v = __builtin_bswap64(v);
+    }
+    std::memcpy(out, &v, n);
   }
 
   uint64_t state_[4];

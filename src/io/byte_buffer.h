@@ -8,6 +8,7 @@
 #ifndef MRMB_IO_BYTE_BUFFER_H_
 #define MRMB_IO_BYTE_BUFFER_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -73,6 +74,61 @@ Status DecodeVarint64(std::string_view data, int64_t* value, size_t* length);
 
 // Returns the encoded size of a Hadoop vint for `value`.
 size_t VarintLength(int64_t value);
+
+// Writes the Hadoop vint for `value` at `out`, which must have room for
+// VarintLength(value) bytes (at most 9); returns one past the last byte
+// written. Inline so that fixed-layout writers (the sort buffer's record
+// framing) pay one branch for the common single-byte lengths.
+inline char* EncodeVarint64(int64_t value, char* out) {
+  if (value >= -112 && value <= 127) {
+    *out = static_cast<char>(value);
+    return out + 1;
+  }
+  // WritableUtils.writeVLong: a marker byte carrying sign and width, then
+  // the big-endian magnitude (one's complement for negatives).
+  const uint64_t magnitude = value < 0 ? ~static_cast<uint64_t>(value)
+                                       : static_cast<uint64_t>(value);
+  const int num_bytes = 8 - std::countl_zero(magnitude) / 8;
+  *out++ = static_cast<char>((value < 0 ? -120 : -112) - num_bytes);
+  for (int shift = 8 * (num_bytes - 1); shift >= 0; shift -= 8) {
+    *out++ = static_cast<char>(magnitude >> shift);
+  }
+  return out;
+}
+
+// Big-endian fixed-width stores and loads at raw memory, for callers that
+// have already sized or bounds-checked it.
+inline void StoreBigEndian32(uint32_t value, char* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    value = __builtin_bswap32(value);
+  }
+  std::memcpy(out, &value, sizeof(value));
+}
+
+inline void StoreBigEndian64(uint64_t value, char* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    value = __builtin_bswap64(value);
+  }
+  std::memcpy(out, &value, sizeof(value));
+}
+
+inline uint32_t LoadBigEndian32(const char* in) {
+  uint32_t value;
+  std::memcpy(&value, in, sizeof(value));
+  if constexpr (std::endian::native == std::endian::little) {
+    value = __builtin_bswap32(value);
+  }
+  return value;
+}
+
+inline uint64_t LoadBigEndian64(const char* in) {
+  uint64_t value;
+  std::memcpy(&value, in, sizeof(value));
+  if constexpr (std::endian::native == std::endian::little) {
+    value = __builtin_bswap64(value);
+  }
+  return value;
+}
 
 }  // namespace mrmb
 

@@ -15,13 +15,10 @@ namespace {
 // first differing payload byte within the prefix decides both, and a short
 // key padded with zeros sorts no later than any extension of it.
 uint64_t LoadPrefixBigEndian(std::string_view payload) {
-  uint64_t v = 0;
-  const size_t n = std::min<size_t>(payload.size(), 8);
-  for (size_t i = 0; i < n; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(payload[i]))
-         << (56 - 8 * i);
-  }
-  return v;
+  if (payload.size() >= 8) return LoadBigEndian64(payload.data());
+  char padded[8] = {};
+  std::copy(payload.begin(), payload.end(), padded);
+  return LoadBigEndian64(padded);
 }
 
 }  // namespace
@@ -39,25 +36,15 @@ uint64_t NormalizedKeyPrefix(DataType type, std::string_view key) {
       MRMB_CHECK_OK(DecodeVarint64(key, &len, &hdr));
       return LoadPrefixBigEndian(key.substr(hdr));
     }
-    case DataType::kIntWritable: {
+    case DataType::kIntWritable:
       // 4-byte big-endian two's complement; flipping the sign bit maps the
       // signed order onto unsigned order. Occupies the top 32 bits.
       MRMB_CHECK_GE(key.size(), 4u);
-      uint32_t v = 0;
-      for (int i = 0; i < 4; ++i) {
-        v = (v << 8) | static_cast<uint8_t>(key[static_cast<size_t>(i)]);
-      }
-      v ^= 0x80000000u;
-      return static_cast<uint64_t>(v) << 32;
-    }
-    case DataType::kLongWritable: {
+      return static_cast<uint64_t>(LoadBigEndian32(key.data()) ^ 0x80000000u)
+             << 32;
+    case DataType::kLongWritable:
       MRMB_CHECK_GE(key.size(), 8u);
-      uint64_t v = 0;
-      for (int i = 0; i < 8; ++i) {
-        v = (v << 8) | static_cast<uint8_t>(key[static_cast<size_t>(i)]);
-      }
-      return v ^ (1ULL << 63);
-    }
+      return LoadBigEndian64(key.data()) ^ (1ULL << 63);
     case DataType::kNullWritable:
       return 0;
   }
@@ -66,14 +53,8 @@ uint64_t NormalizedKeyPrefix(DataType type, std::string_view key) {
 
 bool KeyWireFormatValid(DataType type, std::string_view key) {
   switch (type) {
-    case DataType::kBytesWritable: {
-      if (key.size() < 4) return false;
-      uint32_t len = 0;
-      for (size_t i = 0; i < 4; ++i) {
-        len = (len << 8) | static_cast<uint8_t>(key[i]);
-      }
-      return len == key.size() - 4;
-    }
+    case DataType::kBytesWritable:
+      return key.size() >= 4 && LoadBigEndian32(key.data()) == key.size() - 4;
     case DataType::kText: {
       int64_t len = 0;
       size_t hdr = 0;

@@ -1,21 +1,25 @@
 // Map-side collect buffer and spill segments.
 //
 // KvBuffer plays the role of Hadoop's MapOutputBuffer (io.sort.mb): map
-// output records are appended in IFile framing (vint key length, vint value
-// length, key bytes, value bytes) into an arena, with a side index of
-// record references. The index is *bucketed by partition at append time*
-// (the partition is already known in Append), so sorting never compares
-// partition ids and ToSpill is a contiguous per-partition gather. Each
-// reference caches an 8-byte normalized key prefix (io/key_prefix.h), so
-// most sort comparisons are a single uint64_t compare with a fallback to
-// the RawComparator only on prefix ties. Partitions sort independently:
-// Sort(pool) fans the per-partition sorts out over a dedicated thread pool
-// with byte-identical results for any thread count.
+// output records are copied in IFile framing (vint key length, vint value
+// length, key bytes, value bytes) into a fixed arena of `capacity` bytes,
+// allocated once and never grown, with a side index of record references.
+// The index is *bucketed by partition at append time* (the partition is
+// already known in Append), so sorting never compares partition ids and
+// ToSpill is a contiguous per-partition gather. Each reference caches an
+// 8-byte normalized key prefix (io/key_prefix.h). Sorting a partition is a
+// stable LSD radix sort on that prefix, one pass per byte in which the
+// partition's prefixes differ; where the prefix does not decide key order
+// (BytesWritable, Text), each run of equal prefixes is then ordered by the
+// RawComparator. Partitions sort independently: Sort(pool) fans the
+// per-partition sorts out over a dedicated thread pool with byte-identical
+// results for any thread count.
 
 #ifndef MRMB_IO_KV_BUFFER_H_
 #define MRMB_IO_KV_BUFFER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "io/comparator.h"
+#include "io/merge.h"
 #include "io/writable.h"
 
 namespace mrmb {
@@ -93,23 +98,23 @@ class KvBuffer {
   // thread count.
   void Sort(ThreadPool* pool);
 
-  // Emits the sorted records as a spill segment. Requires Sort() first.
+  // Emits the sorted records as a sealed spill segment. Requires Sort()
+  // first.
   SpillSegment ToSpill() const;
+
+  class SortedStream;
+  // Streams one partition's records in sorted order straight out of the
+  // arena. Requires Sort() first; the stream and its views stay valid until
+  // the next Append or Clear.
+  SortedStream SortedPartition(int partition) const;
 
   void Clear();
 
-  size_t bytes_used() const { return arena_.size(); }
+  size_t bytes_used() const { return used_; }
   size_t capacity() const { return capacity_; }
   int64_t records() const { return num_records_; }
   int num_partitions() const { return num_partitions_; }
   bool sorted() const { return sorted_; }
-
-  // Read access to record `i` in partition-major index order: partitions
-  // ascend, and within a partition records are in arrival order before
-  // Sort() and key order after.
-  std::string_view KeyAt(int64_t i) const;
-  std::string_view ValueAt(int64_t i) const;
-  int PartitionAt(int64_t i) const;
 
  private:
   struct RecordRef {
@@ -121,20 +126,47 @@ class KvBuffer {
   };
 
   std::string_view KeyView(const RecordRef& ref) const {
-    return std::string_view(arena_).substr(ref.key_offset, ref.key_len);
+    return std::string_view(arena_.get() + ref.key_offset, ref.key_len);
   }
-  const RecordRef& RefAt(int64_t i, int* partition) const;
-  void SortBucket(std::vector<RecordRef>* bucket);
+  std::string_view ValueView(const RecordRef& ref) const {
+    return std::string_view(arena_.get() + ref.key_offset + ref.key_len,
+                            ref.value_len);
+  }
+  void SortBucket(std::vector<RecordRef>* bucket) const;
 
   DataType key_type_;
   const RawComparator* comparator_;
   bool prefix_decisive_;
   int num_partitions_;
   size_t capacity_;
-  std::string arena_;
+  std::unique_ptr<char[]> arena_;  // `capacity_` bytes, `used_` filled
+  size_t used_ = 0;
   std::vector<std::vector<RecordRef>> buckets_;  // one per partition
   int64_t num_records_ = 0;
   bool sorted_ = false;
+};
+
+// One sorted partition of a KvBuffer as a RecordStream. Its views point
+// into the buffer's arena, so they stay valid across Next().
+class KvBuffer::SortedStream final : public RecordStream {
+ public:
+  bool Valid() const override { return next_ != end_; }
+  std::string_view key() const override { return buffer_->KeyView(*next_); }
+  std::string_view value() const override {
+    return buffer_->ValueView(*next_);
+  }
+  void Next() override { ++next_; }
+  bool stable_views() const override { return true; }
+
+ private:
+  friend class KvBuffer;
+  SortedStream(const KvBuffer* buffer, const RecordRef* begin,
+               const RecordRef* end)
+      : buffer_(buffer), next_(begin), end_(end) {}
+
+  const KvBuffer* buffer_;
+  const RecordRef* next_;
+  const RecordRef* end_;
 };
 
 }  // namespace mrmb

@@ -1,9 +1,44 @@
 #include "io/record_gen.h"
 
+#include <array>
+#include <cstring>
+
 #include "common/logging.h"
 #include "io/byte_buffer.h"
 
 namespace mrmb {
+
+namespace {
+
+// The wire length header of a `len`-byte BytesWritable or Text payload.
+std::string LengthHeader(DataType type, size_t len) {
+  BufferWriter writer;
+  if (type == DataType::kBytesWritable) {
+    writer.AppendFixed32(static_cast<uint32_t>(len));
+  } else {
+    writer.AppendVarint64(static_cast<int64_t>(len));
+  }
+  return writer.data();
+}
+
+// 'a' + b % 26 for every byte value b: one table load per byte instead of
+// a division.
+constexpr std::array<char, 256> kLetters = [] {
+  std::array<char, 256> letters{};
+  for (size_t b = 0; b < letters.size(); ++b) {
+    letters[b] = static_cast<char>('a' + b % 26);
+  }
+  return letters;
+}();
+
+// Maps every byte to 'a'..'z' so that Text payloads are valid UTF-8.
+void ToLetters(char* out, size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    out[i] = kLetters[static_cast<unsigned char>(out[i])];
+  }
+}
+
+}  // namespace
 
 RecordGenerator::RecordGenerator(Options options)
     : options_(options) {
@@ -18,87 +53,62 @@ RecordGenerator::RecordGenerator(Options options)
       options_.type == DataType::kText) {
     MRMB_CHECK_GE(options_.key_size, sizeof(uint64_t))
         << "key payload must fit the 8-byte key id";
+    key_header_ = LengthHeader(options_.type, options_.key_size);
+    value_header_ = LengthHeader(options_.type, options_.value_size);
   }
   serialized_key_size_ = SerializedSizeFor(options_.type, options_.key_size);
   serialized_value_size_ =
       SerializedSizeFor(options_.type, options_.value_size);
 }
 
-void RecordGenerator::FillPayload(uint64_t stream_seed, size_t len,
-                                  std::string* out) const {
-  const size_t start = out->size();
-  out->resize(start + len);
+void RecordGenerator::FillPayload(uint64_t stream_seed, char* out,
+                                  size_t len) const {
   Rng rng(stream_seed);
-  rng.Fill(out->data() + start, len);
-  if (options_.type == DataType::kText) {
-    // Text payloads must be valid UTF-8; map every byte to 'a'..'z'.
-    for (size_t i = start; i < out->size(); ++i) {
-      (*out)[i] = static_cast<char>(
-          'a' + (static_cast<unsigned char>((*out)[i]) % 26));
-    }
-  }
+  rng.Fill(out, len);
+  if (options_.type == DataType::kText) ToLetters(out, len);
 }
 
 void RecordGenerator::SerializedKey(int64_t key_id, std::string* out) const {
-  out->clear();
   if (options_.type == DataType::kIntWritable) {
-    BufferWriter writer(out);
-    IntWritable(static_cast<int32_t>(key_id)).Serialize(&writer);
+    out->resize(sizeof(uint32_t));
+    StoreBigEndian32(static_cast<uint32_t>(key_id), out->data());
     return;
   }
   if (options_.type == DataType::kLongWritable) {
-    BufferWriter writer(out);
-    LongWritable(key_id).Serialize(&writer);
+    out->resize(sizeof(uint64_t));
+    StoreBigEndian64(static_cast<uint64_t>(key_id), out->data());
     return;
   }
-  std::string payload;
-  payload.reserve(options_.key_size);
+  // Every byte of `out` is written below, so a reused string is not
+  // cleared first.
+  out->resize(serialized_key_size_);
+  std::memcpy(out->data(), key_header_.data(), key_header_.size());
+  char* payload = out->data() + key_header_.size();
   // Big-endian key id first: distinct ids sort and compare distinctly, and
   // identical ids yield identical bytes.
-  for (int i = 0; i < 8; ++i) {
-    payload.push_back(static_cast<char>(
-        static_cast<uint64_t>(key_id) >> (56 - 8 * i)));
-  }
-  if (options_.type == DataType::kText) {
-    for (char& c : payload) {
-      c = static_cast<char>('a' + (static_cast<unsigned char>(c) % 26));
-    }
-  }
-  FillPayload(options_.seed ^ (0x517cc1b727220a95ULL +
-                               static_cast<uint64_t>(key_id)),
-              options_.key_size - payload.size(), &payload);
-
-  BufferWriter writer(out);
-  if (options_.type == DataType::kBytesWritable) {
-    BytesWritable(std::move(payload)).Serialize(&writer);
-  } else {
-    Text(std::move(payload)).Serialize(&writer);
-  }
+  StoreBigEndian64(static_cast<uint64_t>(key_id), payload);
+  if (options_.type == DataType::kText) ToLetters(payload, sizeof(uint64_t));
+  FillPayload(
+      options_.seed ^ (0x517cc1b727220a95ULL + static_cast<uint64_t>(key_id)),
+      payload + sizeof(uint64_t), options_.key_size - sizeof(uint64_t));
 }
 
 void RecordGenerator::SerializedValue(int64_t index, std::string* out) const {
-  out->clear();
   if (options_.type == DataType::kIntWritable) {
-    BufferWriter writer(out);
-    IntWritable(static_cast<int32_t>(index & 0x7fffffff)).Serialize(&writer);
+    out->resize(sizeof(uint32_t));
+    StoreBigEndian32(static_cast<uint32_t>(index & 0x7fffffff), out->data());
     return;
   }
   if (options_.type == DataType::kLongWritable) {
-    BufferWriter writer(out);
-    LongWritable(index).Serialize(&writer);
+    out->resize(sizeof(uint64_t));
+    StoreBigEndian64(static_cast<uint64_t>(index), out->data());
     return;
   }
-  std::string payload;
-  payload.reserve(options_.value_size);
-  FillPayload(options_.seed ^ (0x2545f4914f6cdd1dULL +
-                               static_cast<uint64_t>(index)),
-              options_.value_size, &payload);
-  BufferWriter writer(out);
-  if (options_.type == DataType::kBytesWritable) {
-    BytesWritable(std::move(payload)).Serialize(&writer);
-  } else {
-    Text(std::move(payload)).Serialize(&writer);
-  }
+  out->resize(serialized_value_size_);
+  std::memcpy(out->data(), value_header_.data(), value_header_.size());
+  FillPayload(
+      options_.seed ^ (0x2545f4914f6cdd1dULL + static_cast<uint64_t>(index)),
+      out->data() + value_header_.size(), options_.value_size);
 }
 
 size_t RecordGenerator::framed_record_size() const {

@@ -44,10 +44,10 @@ class RecordGenerator {
     return index % options_.num_unique_keys;
   }
 
-  // Serialized key for `key_id`, appended to `out` (cleared first).
+  // Serialized key for `key_id`; replaces the contents of `out`.
   void SerializedKey(int64_t key_id, std::string* out) const;
 
-  // Serialized value for record `index`, appended to `out` (cleared first).
+  // Serialized value for record `index`; replaces the contents of `out`.
   void SerializedValue(int64_t index, std::string* out) const;
 
   // Wire size of one serialized key / value.
@@ -63,11 +63,17 @@ class RecordGenerator {
   const Options& options() const { return options_; }
 
  private:
-  void FillPayload(uint64_t stream_seed, size_t len, std::string* out) const;
+  // Writes `len` payload bytes drawn from `stream_seed` at `out` (letters
+  // for Text).
+  void FillPayload(uint64_t stream_seed, char* out, size_t len) const;
 
   Options options_;
   size_t serialized_key_size_ = 0;
   size_t serialized_value_size_ = 0;
+  // Wire length headers of a key and a value payload; the same for every
+  // record, so they are encoded once. Empty for the fixed-width types.
+  std::string key_header_;
+  std::string value_header_;
 };
 
 }  // namespace mrmb

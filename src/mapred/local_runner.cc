@@ -349,26 +349,27 @@ class LocalMapContext final : public MapContext {
   };
 
   // Sorts, seals and (per-spill) combines the buffer's contents, leaving
-  // the buffer empty. Each call is one spill in spill_count().
+  // the buffer empty. Each call is one spill in spill_count(). With a
+  // combiner, the combined spill is built straight from the sorted buffer.
   SpillSegment SealBuffer() {
     buffer_.Sort(sort_pool_.get());
-    SpillSegment spill = buffer_.ToSpill();
     ++spill_count_;
-    if (combiner_ != nullptr) {
-      const int64_t before = spill.total_records();
-      const int64_t before_bytes = spill.total_bytes();
+    SpillSegment spill;
+    if (combiner_ == nullptr) {
+      spill = buffer_.ToSpill();
+    } else {
       const auto t0 = Clock::now();
-      spill = CombineSegment(spill, ComparatorFor(conf_.record.type),
+      spill = CombineSegment(buffer_, ComparatorFor(conf_.record.type),
                              combiner_.get(), conf_, task_id_);
       combine_.combine_micros +=
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 t0)
               .count();
-      combine_.spill_input_records += before;
-      combine_.spill_input_bytes += before_bytes;
+      combine_.spill_input_records += buffer_.records();
+      combine_.spill_input_bytes += static_cast<int64_t>(buffer_.bytes_used());
       combine_.spill_output_records += spill.total_records();
       combine_.spill_output_bytes += spill.total_bytes();
-      combine_removed_ += before - spill.total_records();
+      combine_removed_ += buffer_.records() - spill.total_records();
     }
     buffer_.Clear();
     return spill;

@@ -129,30 +129,30 @@ Result<SpillSegment> CompressSegment(MapOutputCodec codec,
 
 namespace {
 
-// ReduceContext that frames emitted records into a segment under
-// construction.
+// ReduceContext that frames every emitted record onto a writer and counts
+// them.
 class CombineContext final : public ReduceContext {
  public:
-  CombineContext(const JobConf& conf, int task_id, BufferWriter* writer,
-                 SpillSegment::PartitionRange* range)
-      : conf_(conf), task_id_(task_id), writer_(writer), range_(range) {}
+  CombineContext(const JobConf& conf, int task_id, BufferWriter* writer)
+      : conf_(conf), task_id_(task_id), writer_(writer) {}
 
   void Emit(std::string_view key, std::string_view value) override {
     writer_->AppendVarint64(static_cast<int64_t>(key.size()));
     writer_->AppendVarint64(static_cast<int64_t>(value.size()));
     writer_->AppendRaw(key);
     writer_->AppendRaw(value);
-    range_->records += 1;
+    ++records_;
   }
 
   const JobConf& conf() const override { return conf_; }
   int task_id() const override { return task_id_; }
+  int64_t records() const { return records_; }
 
  private:
   const JobConf& conf_;
   int task_id_;
   BufferWriter* writer_;
-  SpillSegment::PartitionRange* range_;
+  int64_t records_ = 0;
 };
 
 // Adapts a GroupedIterator's values to the ValueIterator interface.
@@ -166,6 +166,20 @@ class CombineValues final : public ValueIterator {
   GroupedIterator* groups_;
 };
 
+// Runs `combiner` over every key group of the sorted `records`, framing its
+// output onto `writer`; returns the number of records it emitted.
+int64_t CombineGroups(RecordStream* records, const RawComparator* comparator,
+                      Reducer* combiner, const JobConf& conf, int task_id,
+                      BufferWriter* writer) {
+  CombineContext context(conf, task_id, writer);
+  GroupedIterator groups(records, comparator);
+  while (groups.NextGroup()) {
+    CombineValues values(&groups);
+    combiner->Reduce(groups.group_key(), &values, &context);
+  }
+  return context.records();
+}
+
 }  // namespace
 
 Result<MergedRun> CombineSortedRun(std::string_view run,
@@ -176,39 +190,28 @@ Result<MergedRun> CombineSortedRun(std::string_view run,
   MergedRun out;
   out.data.reserve(run.size());
   BufferWriter writer(&out.data);
-  // CombineContext counts emits through a PartitionRange; a scratch range
-  // serves as the counter for a stand-alone run.
-  SpillSegment::PartitionRange counter;
-  CombineContext context(conf, task_id, &writer, &counter);
   SegmentReader reader(run, comparator->type());
-  GroupedIterator groups(&reader, comparator);
-  while (groups.NextGroup()) {
-    CombineValues values(&groups);
-    combiner->Reduce(groups.group_key(), &values, &context);
-  }
+  out.records =
+      CombineGroups(&reader, comparator, combiner, conf, task_id, &writer);
   MRMB_RETURN_IF_ERROR(reader.status());
-  out.records = counter.records;
   return out;
 }
 
-SpillSegment CombineSegment(const SpillSegment& segment,
+SpillSegment CombineSegment(const KvBuffer& buffer,
                             const RawComparator* comparator,
                             Reducer* combiner, const JobConf& conf,
                             int task_id) {
   MRMB_CHECK(combiner != nullptr);
   SpillSegment out;
-  out.partitions.resize(segment.partitions.size());
-  for (size_t p = 0; p < segment.partitions.size(); ++p) {
-    SpillSegment::PartitionRange& range = out.partitions[p];
+  out.partitions.resize(static_cast<size_t>(buffer.num_partitions()));
+  BufferWriter writer(&out.data);
+  for (int p = 0; p < buffer.num_partitions(); ++p) {
+    SpillSegment::PartitionRange& range =
+        out.partitions[static_cast<size_t>(p)];
     range.offset = static_cast<int64_t>(out.data.size());
-    Result<MergedRun> combined =
-        CombineSortedRun(segment.PartitionData(static_cast<int>(p)),
-                         comparator, combiner, conf, task_id);
-    // The input was just built and sealed in RAM; malformed framing here is
-    // a framework bug, not a recoverable data fault.
-    MRMB_CHECK(combined.ok());
-    out.data.append(combined->data);
-    range.records = combined->records;
+    KvBuffer::SortedStream records = buffer.SortedPartition(p);
+    range.records =
+        CombineGroups(&records, comparator, combiner, conf, task_id, &writer);
     range.length = static_cast<int64_t>(out.data.size()) - range.offset;
   }
   SealSegment(&out);

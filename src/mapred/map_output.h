@@ -64,23 +64,22 @@ Result<SpillSegment> CompressSegment(MapOutputCodec codec,
                                      const SpillSegment& segment);
 
 // Runs `combiner` over every key group of one sorted framed run and returns
-// the combined, still-sorted run. This is the kernel every combine stage
-// shares: the per-spill pass (via CombineSegment), merge-time combining of
-// multi-spill map output and reduce-side fold output, and the in-node
-// combine of co-located map segments (mapred/node_combiner.h). The combiner
-// must emit keys equal to the group key (the usual sum/count combiners do),
-// or the output order is unspecified. Malformed framing in `run` returns
-// DataLoss.
+// the combined, still-sorted run. This is the kernel of the merge-time
+// combine of multi-spill map output, of reduce-side fold output, and of the
+// in-node combine of co-located map segments (mapred/node_combiner.h). The
+// combiner must emit keys equal to the group key (the usual sum/count
+// combiners do), or the output order is unspecified. Malformed framing in
+// `run` returns DataLoss.
 Result<MergedRun> CombineSortedRun(std::string_view run,
                                    const RawComparator* comparator,
                                    Reducer* combiner, const JobConf& conf,
                                    int task_id);
 
-// Runs `combiner` over every key group of every partition of a sorted
-// segment (Hadoop's per-spill combine pass) and returns the combined,
-// still-sorted, sealed segment. The segment must be well-formed (it was
-// just built in RAM); malformed framing aborts.
-SpillSegment CombineSegment(const SpillSegment& segment,
+// Hadoop's per-spill combine pass: runs `combiner` over every key group of
+// every partition of a sorted KvBuffer, reading the records straight out of
+// its arena, and returns the combined, still-sorted, sealed segment. No
+// uncombined spill is gathered.
+SpillSegment CombineSegment(const KvBuffer& buffer,
                             const RawComparator* comparator,
                             Reducer* combiner, const JobConf& conf,
                             int task_id);

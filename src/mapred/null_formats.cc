@@ -91,16 +91,18 @@ void GeneratingMapper::Map(std::string_view /*key*/,
 
 void SummingReducer::Reduce(std::string_view key, ValueIterator* values,
                             ReduceContext* context) {
-  int64_t sum = 0;
+  // Unsigned, so that the sum wraps like int64 two's complement without
+  // signed overflow; wrapping keeps it order-insensitive.
+  uint64_t sum = 0;
   while (values->Next()) {
-    LongWritable v;
-    BufferReader reader(values->value());
-    MRMB_CHECK_OK(v.Deserialize(&reader));
-    sum += v.value();  // int64 wraparound keeps the sum order-insensitive
+    const std::string_view value = values->value();
+    MRMB_CHECK_GE(value.size(), sizeof(uint64_t))
+        << "SummingReducer needs LongWritable values";
+    sum += LoadBigEndian64(value.data());
   }
-  BufferWriter writer;
-  LongWritable(sum).Serialize(&writer);
-  context->Emit(key, writer.data());
+  char bytes[sizeof(uint64_t)];
+  StoreBigEndian64(sum, bytes);
+  context->Emit(key, std::string_view(bytes, sizeof(bytes)));
 }
 
 ReducerFactory MakeBuiltinCombiner(CombinerKind kind) {

@@ -236,7 +236,7 @@ TEST(CombineSortedRunTest, SortedSealedAndSumsExact) {
 
   SummingReducer combiner;
   SpillSegment combined = CombineSegment(
-      segment, ComparatorFor(DataType::kLongWritable), &combiner, conf, 0);
+      buffer, ComparatorFor(DataType::kLongWritable), &combiner, conf, 0);
 
   // The combined segment is sealed and every partition CRC verifies.
   EXPECT_TRUE(combined.sealed);
@@ -270,6 +270,21 @@ TEST(CombineSortedRunTest, SortedSealedAndSumsExact) {
               static_cast<int64_t>(expected[p].size()));
     EXPECT_EQ(run->data, std::string(combined.PartitionData(p)));
   }
+}
+
+TEST(CombineSortedRunTest, SumDiesOnValueShorterThanALong) {
+  KvBuffer buffer(DataType::kLongWritable, 1, 1 << 10);
+  ASSERT_TRUE(buffer.Append(0, SerializeLong(1), "abcd"));
+  buffer.Sort();
+  const SpillSegment spill = buffer.ToSpill();
+  SummingReducer combiner;
+  EXPECT_DEATH(
+      {
+        (void)CombineSortedRun(spill.PartitionData(0),
+                               ComparatorFor(DataType::kLongWritable),
+                               &combiner, AggJob(), 0);
+      },
+      "");
 }
 
 // ---- Recovery: the combined stream rebuilds, output never moves ------

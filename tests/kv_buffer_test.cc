@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "io/byte_buffer.h"
 #include "io/merge.h"
 
@@ -14,15 +18,36 @@ std::string WireBytes(const std::string& payload) {
   return writer.data();
 }
 
+// One partition of a sorted buffer, as (key, value) pairs in stream order.
+std::vector<std::pair<std::string, std::string>> Partition(
+    const KvBuffer& buffer, int partition) {
+  std::vector<std::pair<std::string, std::string>> records;
+  for (KvBuffer::SortedStream stream = buffer.SortedPartition(partition);
+       stream.Valid(); stream.Next()) {
+    records.emplace_back(stream.key(), stream.value());
+  }
+  return records;
+}
+
+std::vector<std::string> Keys(const KvBuffer& buffer, int partition) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : Partition(buffer, partition)) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
 TEST(KvBufferTest, AppendAndReadBack) {
   KvBuffer buffer(DataType::kBytesWritable, 2, 1 << 20);
   ASSERT_TRUE(buffer.Append(0, WireBytes("k1"), WireBytes("v1")));
   ASSERT_TRUE(buffer.Append(1, WireBytes("k2"), WireBytes("v2")));
   EXPECT_EQ(buffer.records(), 2);
-  EXPECT_EQ(buffer.PartitionAt(0), 0);
-  EXPECT_EQ(buffer.PartitionAt(1), 1);
-  EXPECT_EQ(buffer.KeyAt(0), WireBytes("k1"));
-  EXPECT_EQ(buffer.ValueAt(1), WireBytes("v2"));
+  buffer.Sort();
+  using Records = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(Partition(buffer, 0),
+            (Records{{WireBytes("k1"), WireBytes("v1")}}));
+  EXPECT_EQ(Partition(buffer, 1),
+            (Records{{WireBytes("k2"), WireBytes("v2")}}));
 }
 
 TEST(KvBufferTest, CapacityBoundsAppends) {
@@ -59,12 +84,10 @@ TEST(KvBufferTest, SortOrdersByPartitionThenKey) {
   ASSERT_TRUE(buffer.Append(1, WireBytes("a"), WireBytes("3")));
   ASSERT_TRUE(buffer.Append(0, WireBytes("a"), WireBytes("4")));
   buffer.Sort();
-  EXPECT_EQ(buffer.PartitionAt(0), 0);
-  EXPECT_EQ(buffer.KeyAt(0), WireBytes("a"));
-  EXPECT_EQ(buffer.KeyAt(1), WireBytes("z"));
-  EXPECT_EQ(buffer.PartitionAt(2), 1);
-  EXPECT_EQ(buffer.KeyAt(2), WireBytes("a"));
-  EXPECT_EQ(buffer.KeyAt(3), WireBytes("b"));
+  EXPECT_EQ(Keys(buffer, 0),
+            (std::vector<std::string>{WireBytes("a"), WireBytes("z")}));
+  EXPECT_EQ(Keys(buffer, 1),
+            (std::vector<std::string>{WireBytes("a"), WireBytes("b")}));
 }
 
 TEST(KvBufferTest, SortIsStableForEqualKeys) {
@@ -78,10 +101,12 @@ TEST(KvBufferTest, SortIsStableForEqualKeys) {
     ASSERT_TRUE(buffer.Append(0, WireBytes("same"), WireBytes(value)));
   }
   buffer.Sort();
+  const auto records = Partition(buffer, 0);
+  ASSERT_EQ(records.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     std::string value = "v";
     value += std::to_string(i);
-    EXPECT_EQ(buffer.ValueAt(i), WireBytes(value));
+    EXPECT_EQ(records[static_cast<size_t>(i)].second, WireBytes(value));
   }
 }
 
@@ -147,9 +172,9 @@ TEST(KvBufferTest, TextKeysSortLexicographically) {
   ASSERT_TRUE(buffer.Append(0, wire_text("apple"), wire_text("2")));
   ASSERT_TRUE(buffer.Append(0, wire_text("orange"), wire_text("3")));
   buffer.Sort();
-  EXPECT_EQ(buffer.KeyAt(0), wire_text("apple"));
-  EXPECT_EQ(buffer.KeyAt(1), wire_text("orange"));
-  EXPECT_EQ(buffer.KeyAt(2), wire_text("pear"));
+  EXPECT_EQ(Keys(buffer, 0),
+            (std::vector<std::string>{wire_text("apple"), wire_text("orange"),
+                                      wire_text("pear")}));
 }
 
 TEST(SpillSegmentTest, PartitionDataOutOfRangeDies) {
