@@ -20,6 +20,7 @@
 #include "io/kv_buffer.h"
 #include "mapred/local_runner.h"
 #include "mapred/null_formats.h"
+#include "order_digest.h"
 
 namespace mrmb {
 namespace {
@@ -425,6 +426,77 @@ TEST(SortDeterminismTest, JobOutputMatchesGoldenWithBoundedMergeFanIn) {
                                    /*merge_factor=*/2),
               kGoldenJobOutput)
         << "local_threads=" << local_threads;
+  }
+}
+
+// ---- Equal-key value order at job level --------------------------------
+//
+// Nine maps, few keys and several spills per map: every group's values
+// arrive from many spills of many maps, and the engine must hand them to
+// the reducer in (map, record) order however the reduce side folds its
+// streams. merge_factor 2 folds 9 -> 5 -> 3 -> 2 streams, 3 folds once
+// per triple, and 16 is the flat merge. Each factor runs over the
+// in-process shuffle and over tcp + lz4 with every spill on disk, where
+// the folds read the reduce's own decompressed copies.
+
+JobConf ValueOrderConf(int merge_factor, bool tcp_lz4_disk) {
+  JobConf conf;
+  conf.num_maps = 9;
+  conf.num_reduces = 2;
+  conf.records_per_map = 400;
+  conf.record.type = DataType::kBytesWritable;
+  conf.record.key_size = 8;
+  conf.record.value_size = 24;
+  conf.record.num_unique_keys = 5;
+  conf.io_sort_bytes = 8 << 10;  // several spills per map
+  conf.merge_factor = merge_factor;
+  conf.local_threads = 4;
+  conf.seed = 19;
+  if (tcp_lz4_disk) {
+    conf.shuffle_transport = ShuffleTransport::kTcp;
+    conf.map_output_codec = MapOutputCodec::kLz4;
+    conf.spill_budget_bytes = 0;
+  }
+  return conf;
+}
+
+// Captured from the engine that copied every fold's merged run.
+constexpr uint32_t kGoldenValueOrderDigest = 0xb9be9a4bu;
+constexpr uint32_t kGoldenSummedOutput = 0xb399a2e3u;
+
+TEST(SortDeterminismTest, ValueOrderIdenticalAcrossFoldPlansAndTransports) {
+  for (bool tcp_lz4_disk : {false, true}) {
+    for (int merge_factor : {2, 3, 16}) {
+      auto job = RunOrderDigestJob(ValueOrderConf(merge_factor, tcp_lz4_disk));
+      ASSERT_TRUE(job.ok()) << job.status().ToString();
+      EXPECT_GT(job->spill_count, 2 * 9);
+      EXPECT_GT(job->reduce_groups, 2);
+      EXPECT_EQ(job->intermediate_merges,
+                merge_factor == 2 ? 2 * 7 : merge_factor == 3 ? 2 * 3 : 0)
+          << "merge_factor=" << merge_factor;
+      EXPECT_EQ(job->output_fingerprint, kGoldenValueOrderDigest)
+          << "merge_factor=" << merge_factor
+          << " tcp_lz4_disk=" << tcp_lz4_disk;
+    }
+  }
+}
+
+// The same job on LongWritable records with the sum combiner at every
+// stage, reduce-side folds included (min_spills_for_combine 1).
+TEST(SortDeterminismTest, SummedOutputIdenticalAcrossFoldPlans) {
+  for (int merge_factor : {2, 3, 16}) {
+    JobConf conf = ValueOrderConf(merge_factor, /*tcp_lz4_disk=*/false);
+    conf.record.type = DataType::kLongWritable;
+    conf.combiner = CombinerKind::kSum;
+    conf.min_spills_for_combine = 1;
+    auto job = LocalJobRunner::RunStandalone(conf);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    if (merge_factor < conf.num_maps) {
+      EXPECT_GT(job->combine_reduce_input_records, 0)
+          << "merge_factor=" << merge_factor;
+    }
+    EXPECT_EQ(job->output_fingerprint, kGoldenSummedOutput)
+        << "merge_factor=" << merge_factor;
   }
 }
 
