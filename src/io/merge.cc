@@ -17,24 +17,36 @@ SegmentReader::SegmentReader(std::string_view data, DataType key_type)
   Decode();
 }
 
+SegmentReader::SegmentReader(std::vector<std::string_view> slices,
+                             DataType key_type)
+    : slices_(std::move(slices)), validate_keys_(true), key_type_(key_type) {
+  Decode();
+}
+
 void SegmentReader::Next() {
   MRMB_CHECK(valid_);
   Decode();
 }
 
 void SegmentReader::Decode() {
-  if (pos_ >= data_.size()) {
-    valid_ = false;
-    key_ = {};
-    value_ = {};
-    return;
+  while (pos_ >= data_.size()) {
+    if (next_slice_ == slices_.size()) {
+      valid_ = false;
+      key_ = {};
+      value_ = {};
+      return;
+    }
+    slice_offset_ += data_.size();
+    data_ = slices_[next_slice_++];
+    pos_ = 0;
   }
+  record_begin_ = pos_;
   const auto fail = [this](const char* what) {
     valid_ = false;
     key_ = {};
     value_ = {};
     status_ = Status::DataLoss(std::string(what) + " at segment offset " +
-                               std::to_string(pos_));
+                               std::to_string(slice_offset_ + pos_));
   };
   int64_t key_len = 0, value_len = 0;
   size_t hdr = 0;

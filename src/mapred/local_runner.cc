@@ -254,7 +254,7 @@ class LocalMapContext final : public MapContext {
     SpillBuffer();
     MRMB_RETURN_IF_ERROR(status_);  // SpillBuffer can fail a disk write
     // Multi-spill merge, partition by partition — the same per-partition
-    // MergeFramedRuns + final seal MergeSegments performs, so the result is
+    // merge + final seal MergeSegments performs, so the result is
     // byte-identical whether each input run sat in RAM or on disk.
     const RawComparator* comparator = ComparatorFor(conf_.record.type);
     // Merge-time combining (mapreduce.map.combine.minspills): when enough
@@ -294,39 +294,32 @@ class LocalMapContext final : public MapContext {
                                          task_id_, attempt_));
           }
           owned.push_back(std::move(run).value());
-          runs.push_back({owned.back(), -1});
+          runs.push_back({{owned.back()}, -1});
         } else {
           runs.push_back(
-              {slot.resident.PartitionData(static_cast<int>(p)), -1});
+              {{slot.resident.PartitionData(static_cast<int>(p))}, -1});
         }
       }
-      MRMB_ASSIGN_OR_RETURN(MergedRun merged,
-                            MergeFramedRuns(runs, comparator));
+      // The merged records (or the combiner's output) land straight in
+      // the map output.
+      Result<MergeAppendStats> merged =
+          MergeAndAppend(runs, comparator,
+                         merge_combine ? combiner_.get() : nullptr, conf_,
+                         task_id_, &out.data);
+      if (!merged.ok()) {
+        return Annotate(merged.status(),
+                        StringPrintf("map task %d: merging spills", task_id_));
+      }
       if (merge_combine) {
-        combine_.merge_input_records += merged.records;
-        combine_.merge_input_bytes += static_cast<int64_t>(merged.data.size());
-        const auto t0 = Clock::now();
-        Result<MergedRun> combined = CombineSortedRun(
-            merged.data, comparator, combiner_.get(), conf_, task_id_);
+        combine_.merge_input_records += merged->merged_records;
+        combine_.merge_input_bytes += merged->merged_bytes;
         combine_.combine_micros +=
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - t0)
-                .count();
-        if (!combined.ok()) {
-          // The merged run came out of our own loser tree; malformed
-          // framing here is a framework bug, not input damage.
-          return Annotate(combined.status(),
-                          StringPrintf("map task %d: merge-time combine",
-                                       task_id_));
-        }
-        combine_removed_ += merged.records - combined->records;
-        combine_.merge_output_records += combined->records;
-        combine_.merge_output_bytes +=
-            static_cast<int64_t>(combined->data.size());
-        merged = std::move(combined).value();
+            static_cast<int64_t>(merged->combine_seconds * 1e6);
+        combine_removed_ += merged->merged_records - merged->records;
+        combine_.merge_output_records += merged->records;
+        combine_.merge_output_bytes += merged->bytes;
       }
-      out.data.append(merged.data);
-      range.records = merged.records;
+      range.records = merged->records;
       range.length = static_cast<int64_t>(out.data.size()) - range.offset;
     }
     SealSegment(&out);
@@ -947,9 +940,17 @@ class PipelinedJob {
     std::string_view view;
   };
 
+  // One merge-plan node's fold. Without a combiner at folds the merged run
+  // is `slices` of bytes the reduce already holds: the shared map-output
+  // segments (inproc, codec off) or its own fetched, decompressed copies.
+  // A fold that runs the combiner owns its output in `combined`, and
+  // `slices` is that one string. Every slice stays valid until
+  // DirtyNodesCovering resets this node, which it does before any input
+  // it covers is replaced.
   struct NodeState {
     bool done = false;
-    MergedRun merged;
+    std::vector<std::string_view> slices;
+    std::string combined;
   };
 
   // Scheduler's view of one map task's published output. Exactly one of
@@ -1003,6 +1004,9 @@ class PipelinedJob {
     // ---- owned by the single scheduled drain/final task ----
     // (successive tasks are ordered through mu_ + the pool queue, so no
     //  two ever touch these concurrently)
+    // Sized once, in the constructor, and never reallocated: fold slices
+    // may point into a FetchedInput's or NodeState's own string, whose
+    // short contents live inside the object.
     std::vector<FetchedInput> inputs;
     std::vector<NodeState> nodes;
     double drain_busy_seconds = 0;
@@ -1827,54 +1831,59 @@ class PipelinedJob {
         runs.reserve(node.children.size());
         for (const StreamRef& child : node.children) {
           if (child.leaf >= 0) {
-            runs.push_back({rs->inputs[static_cast<size_t>(child.leaf)].view,
-                            child.leaf});
+            runs.push_back(
+                {{rs->inputs[static_cast<size_t>(child.leaf)].view},
+                 child.leaf});
           } else {
             runs.push_back(
-                {rs->nodes[static_cast<size_t>(child.node)].merged.data, -1});
+                {rs->nodes[static_cast<size_t>(child.node)].slices, -1});
           }
         }
+        NodeState& state = rs->nodes[n];
         std::vector<int> corrupt_sources;
-        Result<MergedRun> merged =
-            MergeFramedRuns(runs, comparator_, &corrupt_sources);
-        if (!merged.ok()) {
-          // Malformed bytes slipped past (checksums off). Blame the raw
-          // producers and let the regeneration events redo this fold.
-          ReportCorruptSources(r, rs, node, corrupt_sources);
-          return;
-        }
         // Merge-time combining, reduce side: fold output is a sorted run,
         // so the combiner collapses duplicate keys that straddled the
         // folded streams before the bytes sit in memory awaiting the final
         // merge — the MergeManager combine pass, gated by the same knob as
         // the map-side sibling.
         if (combiner_factory_ != nullptr && conf_.min_spills_for_combine > 0) {
-          const auto t0 = Clock::now();
           std::unique_ptr<Reducer> combiner = combiner_factory_(r);
-          Result<MergedRun> combined = CombineSortedRun(
-              merged->data, comparator_, combiner.get(), conf_, r);
-          if (!combined.ok()) {
-            // The run came out of our own fold; this can only be a
-            // framework bug.
-            FailJob(Annotate(
-                combined.status(),
-                StringPrintf("reduce task %d: combining a merge fold", r)));
+          std::string combined;
+          Result<MergeAppendStats> merged =
+              MergeAndAppend(runs, comparator_, combiner.get(), conf_, r,
+                             &combined, &corrupt_sources);
+          if (!merged.ok()) {
+            if (!corrupt_sources.empty()) {
+              ReportCorruptSources(r, rs, node, corrupt_sources);
+            } else {
+              FailJob(Annotate(
+                  merged.status(),
+                  StringPrintf("reduce task %d: combining a merge fold", r)));
+            }
             return;
           }
           {
             std::lock_guard<std::mutex> lock(mu_);
-            result_.combine_reduce_input_records += merged->records;
-            result_.combine_reduce_input_bytes +=
-                static_cast<int64_t>(merged->data.size());
-            result_.combine_reduce_output_records += combined->records;
-            result_.combine_reduce_output_bytes +=
-                static_cast<int64_t>(combined->data.size());
-            combine_reduce_seconds_ += Seconds(Clock::now() - t0);
+            result_.combine_reduce_input_records += merged->merged_records;
+            result_.combine_reduce_input_bytes += merged->merged_bytes;
+            result_.combine_reduce_output_records += merged->records;
+            result_.combine_reduce_output_bytes += merged->bytes;
+            combine_reduce_seconds_ += merged->combine_seconds;
           }
-          merged = std::move(combined);
+          state.combined = std::move(combined);
+          state.slices.assign(1, state.combined);
+        } else {
+          Result<SlicedRun> merged =
+              MergeFramedRuns(runs, comparator_, &corrupt_sources);
+          if (!merged.ok()) {
+            // Malformed bytes slipped past (checksums off). Blame the raw
+            // producers and let the regeneration events redo this fold.
+            ReportCorruptSources(r, rs, node, corrupt_sources);
+            return;
+          }
+          state.slices = std::move(merged->slices);
         }
-        rs->nodes[n].merged = std::move(merged).value();
-        rs->nodes[n].done = true;
+        state.done = true;
         {
           std::lock_guard<std::mutex> lock(mu_);
           ++result_.intermediate_merges;
@@ -2201,17 +2210,19 @@ class PipelinedJob {
     std::vector<std::pair<int, int>> spans;  // blame span per stream
     inputs.reserve(plan_.final_streams.size());
     for (const StreamRef& ref : plan_.final_streams) {
-      std::string_view data;
+      std::unique_ptr<SegmentReader> reader;
       if (ref.leaf >= 0) {
-        data = rs->inputs[static_cast<size_t>(ref.leaf)].view;
+        reader = std::make_unique<SegmentReader>(
+            rs->inputs[static_cast<size_t>(ref.leaf)].view,
+            comparator_->type());
         spans.emplace_back(ref.leaf, ref.leaf + 1);
       } else {
         const PlanNode& node = plan_.nodes[static_cast<size_t>(ref.node)];
-        data = rs->nodes[static_cast<size_t>(ref.node)].merged.data;
+        reader = std::make_unique<SegmentReader>(
+            rs->nodes[static_cast<size_t>(ref.node)].slices,
+            comparator_->type());
         spans.emplace_back(node.leaf_begin, node.leaf_end);
       }
-      auto reader =
-          std::make_unique<SegmentReader>(data, comparator_->type());
       readers.push_back(reader.get());
       inputs.push_back(std::move(reader));
     }

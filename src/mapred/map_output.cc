@@ -1,5 +1,6 @@
 #include "mapred/map_output.h"
 
+#include <chrono>
 #include <memory>
 
 #include "common/logging.h"
@@ -10,46 +11,51 @@
 
 namespace mrmb {
 
-Result<MergedRun> MergeFramedRuns(const std::vector<FramedRun>& runs,
+Result<SlicedRun> MergeFramedRuns(const std::vector<FramedRun>& runs,
                                   const RawComparator* comparator,
                                   std::vector<int>* corrupt_sources) {
-  MergedRun out;
-  size_t total = 0;
-  for (const FramedRun& run : runs) total += run.data.size();
-  out.data.reserve(total);
-  BufferWriter writer(&out.data);
-
   std::vector<std::unique_ptr<RecordStream>> inputs;
+  // Raw pointers: MergeIterator takes ownership, but each reader still
+  // reports its record's framed bytes and, on failure, its own status (to
+  // blame the right producer).
+  std::vector<SegmentReader*> readers;
   inputs.reserve(runs.size());
+  readers.reserve(runs.size());
   for (const FramedRun& run : runs) {
     // Fold inputs crossed the shuffle: validate key framing so a bit flip
     // surfaces as this run's DataLoss instead of feeding the comparator
     // garbage.
-    inputs.push_back(
-        std::make_unique<SegmentReader>(run.data, comparator->type()));
+    auto reader =
+        std::make_unique<SegmentReader>(run.slices, comparator->type());
+    readers.push_back(reader.get());
+    inputs.push_back(std::move(reader));
   }
-  // Keep raw pointers: MergeIterator takes ownership but we still need to
-  // ask each input for its status to blame the right producer.
-  std::vector<RecordStream*> streams;
-  streams.reserve(inputs.size());
-  for (const auto& input : inputs) streams.push_back(input.get());
 
+  SlicedRun out;
   MergeIterator merged(std::move(inputs), comparator);
-  while (merged.Valid()) {
-    const std::string_view key = merged.key();
-    const std::string_view value = merged.value();
-    writer.AppendVarint64(static_cast<int64_t>(key.size()));
-    writer.AppendVarint64(static_cast<int64_t>(value.size()));
-    writer.AppendRaw(key);
-    writer.AppendRaw(value);
+  size_t last_input = runs.size();
+  for (; merged.Valid(); merged.Next()) {
+    const size_t input = merged.current_input();
+    const std::string_view record = readers[input]->framed();
+    // The winner continues the current slice when it comes from the same
+    // input and starts where that slice ends.
+    if (input == last_input &&
+        out.slices.back().data() + out.slices.back().size() ==
+            record.data()) {
+      out.slices.back() = std::string_view(
+          out.slices.back().data(), out.slices.back().size() + record.size());
+    } else {
+      out.slices.push_back(record);
+      last_input = input;
+    }
     out.records += 1;
-    merged.Next();
+    out.bytes += static_cast<int64_t>(record.size());
   }
   Status status = merged.status();
   if (!status.ok()) {
     if (corrupt_sources != nullptr) {
-      for (size_t i = 0; i < streams.size(); ++i) {
-        if (!streams[i]->status().ok()) {
+      for (size_t i = 0; i < readers.size(); ++i) {
+        if (!readers[i]->status().ok()) {
           corrupt_sources->push_back(runs[i].source_map);
         }
       }
@@ -57,6 +63,41 @@ Result<MergedRun> MergeFramedRuns(const std::vector<FramedRun>& runs,
     return status;
   }
   return out;
+}
+
+void AppendSlices(const std::vector<std::string_view>& slices,
+                  std::string* out) {
+  for (const std::string_view slice : slices) out->append(slice);
+}
+
+Result<MergeAppendStats> MergeAndAppend(
+    const std::vector<FramedRun>& runs, const RawComparator* comparator,
+    Reducer* combiner, const JobConf& conf, int task_id, std::string* out,
+    std::vector<int>* corrupt_sources) {
+  MRMB_ASSIGN_OR_RETURN(SlicedRun merged,
+                        MergeFramedRuns(runs, comparator, corrupt_sources));
+  MergeAppendStats stats;
+  stats.merged_records = merged.records;
+  stats.merged_bytes = merged.bytes;
+  const size_t begin = out->size();
+  if (combiner == nullptr) {
+    AppendSlices(merged.slices, out);
+    stats.records = merged.records;
+  } else {
+    const auto start = std::chrono::steady_clock::now();
+    Result<int64_t> combined = CombineSortedRun(merged.slices, comparator,
+                                                combiner, conf, task_id, out);
+    stats.combine_seconds = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    if (!combined.ok()) {
+      return Status::Internal("combining a merged run: " +
+                              combined.status().ToString());
+    }
+    stats.records = *combined;
+  }
+  stats.bytes = static_cast<int64_t>(out->size() - begin);
+  return stats;
 }
 
 Result<SpillSegment> MergeSegments(
@@ -94,11 +135,11 @@ Result<SpillSegment> MergeSegments(
         MRMB_RETURN_IF_ERROR(
             VerifySegmentPartition(*segment, static_cast<int>(p)));
       }
-      runs.push_back({segment->PartitionData(static_cast<int>(p)), -1});
+      runs.push_back({{segment->PartitionData(static_cast<int>(p))}, -1});
     }
-    MRMB_ASSIGN_OR_RETURN(MergedRun merged,
+    MRMB_ASSIGN_OR_RETURN(SlicedRun merged,
                           MergeFramedRuns(runs, comparator));
-    out.data.append(merged.data);
+    AppendSlices(merged.slices, &out.data);
     range.records = merged.records;
     range.length = static_cast<int64_t>(out.data.size()) - range.offset;
   }
@@ -182,19 +223,17 @@ int64_t CombineGroups(RecordStream* records, const RawComparator* comparator,
 
 }  // namespace
 
-Result<MergedRun> CombineSortedRun(std::string_view run,
-                                   const RawComparator* comparator,
-                                   Reducer* combiner, const JobConf& conf,
-                                   int task_id) {
+Result<int64_t> CombineSortedRun(const std::vector<std::string_view>& run,
+                                 const RawComparator* comparator,
+                                 Reducer* combiner, const JobConf& conf,
+                                 int task_id, std::string* out) {
   MRMB_CHECK(combiner != nullptr);
-  MergedRun out;
-  out.data.reserve(run.size());
-  BufferWriter writer(&out.data);
+  BufferWriter writer(out);
   SegmentReader reader(run, comparator->type());
-  out.records =
+  const int64_t records =
       CombineGroups(&reader, comparator, combiner, conf, task_id, &writer);
   MRMB_RETURN_IF_ERROR(reader.status());
-  return out;
+  return records;
 }
 
 SpillSegment CombineSegment(const KvBuffer& buffer,

@@ -1,25 +1,14 @@
 #include "mapred/node_combiner.h"
 
-#include <chrono>
 #include <string>
 #include <string_view>
 
 #include "common/logging.h"
-#include "common/strings.h"
 #include "io/block_codec.h"
 #include "io/checksum.h"
 #include "mapred/map_output.h"
 
 namespace mrmb {
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 Result<NodeCombineOutput> BuildNodeCombinedSegment(
     const std::vector<NodeCombineMember>& members, const JobConf& conf,
@@ -81,7 +70,7 @@ Result<NodeCombineOutput> BuildNodeCombinedSegment(
         wire = owned.back();
       }
       out.stats.input_bytes += static_cast<int64_t>(wire.size());
-      runs.push_back({wire, member.map});
+      runs.push_back({{wire}, member.map});
     }
     for (const NodeCombineMember& member : members) {
       const auto& ranges = member.stored != nullptr
@@ -90,31 +79,17 @@ Result<NodeCombineOutput> BuildNodeCombinedSegment(
       out.stats.input_records += ranges[p].records;
     }
 
+    SpillSegment::PartitionRange& range = out.segment.partitions[p];
+    range.offset = static_cast<int64_t>(out.segment.data.size());
     std::vector<int> merge_corrupt;
-    Result<MergedRun> merged =
-        MergeFramedRuns(runs, comparator, &merge_corrupt);
+    Result<MergeAppendStats> merged =
+        MergeAndAppend(runs, comparator, combiner, conf, stream_id,
+                       &out.segment.data, &merge_corrupt);
     if (!merged.ok()) {
       for (const int map : merge_corrupt) blame(map);
       return merged.status();
     }
-    if (combiner != nullptr) {
-      const auto start = std::chrono::steady_clock::now();
-      Result<MergedRun> combined = CombineSortedRun(
-          merged->data, comparator, combiner, conf, stream_id);
-      out.stats.combine_seconds += SecondsSince(start);
-      if (!combined.ok()) {
-        // The run was produced by our own merge; malformed framing here is
-        // a framework bug, not member damage.
-        return Status::Internal(StringPrintf(
-            "node combine of stream %d produced a malformed run: %s",
-            stream_id, combined.status().ToString().c_str()));
-      }
-      merged = std::move(combined);
-    }
-
-    SpillSegment::PartitionRange& range = out.segment.partitions[p];
-    range.offset = static_cast<int64_t>(out.segment.data.size());
-    out.segment.data.append(merged->data);
+    out.stats.combine_seconds += merged->combine_seconds;
     range.length = static_cast<int64_t>(out.segment.data.size()) -
                    range.offset;
     range.records = merged->records;

@@ -262,13 +262,13 @@ TEST(CombineSortedRunTest, SortedSealedAndSumsExact) {
   // The kernel underneath agrees with the segment-level pass.
   for (int p = 0; p < kPartitions; ++p) {
     SummingReducer again;
-    auto run = CombineSortedRun(segment.PartitionData(p),
-                                ComparatorFor(DataType::kLongWritable), &again,
-                                conf, 0);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run->records,
-              static_cast<int64_t>(expected[p].size()));
-    EXPECT_EQ(run->data, std::string(combined.PartitionData(p)));
+    std::string run;
+    auto records = CombineSortedRun({segment.PartitionData(p)},
+                                    ComparatorFor(DataType::kLongWritable),
+                                    &again, conf, 0, &run);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    EXPECT_EQ(*records, static_cast<int64_t>(expected[p].size()));
+    EXPECT_EQ(run, std::string(combined.PartitionData(p)));
   }
 }
 
@@ -280,9 +280,10 @@ TEST(CombineSortedRunTest, SumDiesOnValueShorterThanALong) {
   SummingReducer combiner;
   EXPECT_DEATH(
       {
-        (void)CombineSortedRun(spill.PartitionData(0),
+        std::string run;
+        (void)CombineSortedRun({spill.PartitionData(0)},
                                ComparatorFor(DataType::kLongWritable),
-                               &combiner, AggJob(), 0);
+                               &combiner, AggJob(), 0, &run);
       },
       "");
 }
