@@ -176,31 +176,50 @@ TEST(ShufflePipelineTest, MapReexecutionInvalidatesAlreadyFetchedSegments) {
   EXPECT_EQ(result->output_bytes, clean->output_bytes);
 }
 
-TEST(ShufflePipelineTest, ChecksumOffCorruptionCaughtMidMergeAndRepaired) {
-  // With verification off, the flipped bit reaches the final merge, where
-  // frame/key decoding fails; the reduce blames the producer, re-fetches,
-  // and the repair is invisible in the output. Not every bit position is
-  // detectable without checksums (a flip inside a value payload leaves
-  // framing intact), so the seed is pinned to one whose injected flip
-  // lands where SegmentReader's structural validation catches it.
-  JobConf conf = WithPlan(SmallConf(), "corrupt_map:2@a=0,p=1");
-  conf.checksum_map_output = false;
-  conf.seed = 7;
+// With verification off, the flipped bit reaches the final merge, where
+// frame/key decoding fails; the reduce blames the producer, re-fetches its
+// inputs (RefreshInputs), and the repair is invisible in the output. Not
+// every bit position is detectable without checksums (a flip inside a
+// value payload leaves framing intact), so the seed is pinned to one whose
+// injected flip lands where SegmentReader's structural validation catches
+// it. The faulty run's result lands in `*faulty`.
+void ExpectChecksumOffCorruptionRepaired(ShuffleTransport transport,
+                                         LocalJobResult* faulty) {
+  JobConf clean_conf = SmallConf();
+  clean_conf.checksum_map_output = false;
+  clean_conf.seed = 7;
+  clean_conf.shuffle_transport = transport;
+  JobConf conf = WithPlan(clean_conf, "corrupt_map:2@a=0,p=1");
   auto result = LocalJobRunner::RunStandalone(conf);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->corruptions_detected, 1);
   EXPECT_GE(result->map_retries, 1);
   EXPECT_EQ(result->crc_verifications, 0);
 
-  JobConf clean_conf = SmallConf();
-  clean_conf.checksum_map_output = false;
-  clean_conf.seed = 7;
   auto clean = LocalJobRunner::RunStandalone(clean_conf);
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(result->reducer_input_records, clean->reducer_input_records);
   EXPECT_EQ(result->reduce_groups, clean->reduce_groups);
   EXPECT_EQ(result->output_records, clean->output_records);
   EXPECT_EQ(result->output_bytes, clean->output_bytes);
+  EXPECT_EQ(result->output_fingerprint, clean->output_fingerprint);
+  *faulty = *result;
+}
+
+TEST(ShufflePipelineTest, ChecksumOffCorruptionCaughtMidMergeAndRepaired) {
+  LocalJobResult faulty;
+  ExpectChecksumOffCorruptionRepaired(ShuffleTransport::kInproc, &faulty);
+}
+
+// The same repair when the refresh re-fetches over the socket transport:
+// the caught corruption costs a reduce retry, and the refreshed partition
+// crosses the wire on top of the clean run's 16.
+TEST(ShufflePipelineTest,
+     ChecksumOffCorruptionCaughtMidMergeAndRepairedOverTcp) {
+  LocalJobResult faulty;
+  ExpectChecksumOffCorruptionRepaired(ShuffleTransport::kTcp, &faulty);
+  EXPECT_GE(faulty.reduce_retries, 1);
+  EXPECT_GT(faulty.transport_fetched_partitions, 16);
 }
 
 // ---- Shuffle data plane: codecs and the bandwidth model -----------------
