@@ -219,8 +219,8 @@ Status JobConf::Validate() const {
     return Status::InvalidArgument(
         "fetch_parallel_streams must be in [1, 64]");
   }
-  if (shuffle_protocol_version < 1 || shuffle_protocol_version > 2) {
-    return Status::InvalidArgument("shuffle_protocol_version must be 1 or 2");
+  if (shuffle_protocol_version != 2) {
+    return Status::InvalidArgument("shuffle_protocol_version must be 2");
   }
   if (shuffle_server_reactors < 1 || shuffle_server_reactors > 16) {
     return Status::InvalidArgument(

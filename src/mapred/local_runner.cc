@@ -11,7 +11,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -928,11 +927,11 @@ class PipelinedJob {
   }
 
  private:
-  // One fetched map output: a generation-stamped shared view of the sealed
-  // segment (this reduce reads only its own partition slice of it). With a
-  // codec active, the partition is decompressed exactly once when stored —
-  // `view` is the merge-ready framed records either way, pointing into the
-  // shared segment (codec off) or into `decompressed` (codec on).
+  // One fetched stream partition, stamped with its generation. `view` is
+  // the merge-ready framed records: a zero-copy slice of the shared
+  // `segment` (in process, resident, codec off) or this reduce's own copy
+  // in `decompressed` (read back from disk, decompressed once, or fetched
+  // over the wire).
   struct FetchedInput {
     std::shared_ptr<const SpillSegment> segment;
     int generation = -1;  // -1 = nothing fetched yet
@@ -993,7 +992,7 @@ class PipelinedJob {
 
   struct ReduceShuffle {
     // ---- guarded by mu_ ----
-    std::deque<int> fetch_queue;  // committed stream ids to fetch
+    std::vector<int> fetch_queue;  // committed stream ids to fetch
     bool drain_scheduled = false;
     bool final_scheduled = false;
     bool completed = false;
@@ -1405,11 +1404,6 @@ class PipelinedJob {
   // ---- reduce side: fetch + background merge (the "copy phase") ----
   void DrainFetches(int r) {
     ReduceShuffle& rs = reduces_[static_cast<size_t>(r)];
-    // The batched (protocol v2) plane drains the whole queue as one
-    // pipelined multi-fetch; the inproc and v1 planes pop one stream at a
-    // time, each its own round trip.
-    const bool batched =
-        transport_client_ != nullptr && conf_.shuffle_protocol_version >= 2;
     while (true) {
       std::vector<int> streams;
       {
@@ -1423,157 +1417,120 @@ class PipelinedJob {
           MaybeScheduleFinalLocked(r);
           return;
         }
-        if (batched) {
-          streams.assign(rs.fetch_queue.begin(), rs.fetch_queue.end());
-          rs.fetch_queue.clear();
-        } else {
-          streams.push_back(rs.fetch_queue.front());
-          rs.fetch_queue.pop_front();
-        }
+        streams.swap(rs.fetch_queue);
       }
-      if (batched) {
-        ProcessFetchBatch(r, streams);
-      } else {
-        ProcessFetch(r, streams.front());
-      }
+      rs.drain_busy_seconds += FetchStreams(r, &rs, streams);
     }
   }
 
-  // The pipelined sibling of ProcessFetch: resolves every queued stream's
-  // live generation under the lock, fetches them all in one FetchBatch
-  // call (one batch request per in-flight window instead of one blocking
-  // round trip per stream), then verifies and stores each entry. Streams
-  // that moved on (mid-regeneration, duplicate event) are skipped exactly
-  // like ProcessFetch does; entries the transport lost after its internal
-  // retries — or that failed verification — go through HandleLostStream.
-  void ProcessFetchBatch(int r, const std::vector<int>& streams) {
-    ReduceShuffle& rs = reduces_[static_cast<size_t>(r)];
-    std::vector<ShuffleFetchWant> wants;
-    std::vector<int> gens;
-    wants.reserve(streams.size());
-    gens.reserve(streams.size());
+  // One stream partition to fetch, resolved under mu_: its live generation
+  // and the output that generation names.
+  struct FetchWant {
+    int stream = 0;
+    int gen = -1;
+    std::shared_ptr<const SpillSegment> segment;
+    std::shared_ptr<const StoredSpill> stored;
+  };
+
+  // The reduce side's one fetch routine, used by the drain and by the final
+  // task's refresh. Skips streams that are mid-regeneration (the fresh
+  // publish re-enqueues them), already current, or listed twice (launch
+  // backfill + commit event). Gets verified merge-ready bytes for the rest
+  // in process or from one pipelined FetchBatch call, stores them, runs the
+  // folds that became ready, and reports every stream it could not get as
+  // lost. Returns the busy seconds, which exclude the in-process plane's
+  // modelled transfer time.
+  double FetchStreams(int r, ReduceShuffle* rs,
+                      const std::vector<int>& streams) {
+    std::vector<FetchWant> wants;
     {
       std::lock_guard<std::mutex> lock(mu_);
       std::vector<bool> queued(static_cast<size_t>(num_streams_), false);
       for (int s : streams) {
         const GroupSlot& group = groups_[static_cast<size_t>(s)];
         if (group.committed_gen < 0 ||
-            group.committed_gen != group.target_gen) {
-          continue;  // mid-regeneration; the fresh publish re-enqueues
+            group.committed_gen != group.target_gen ||
+            rs->inputs[static_cast<size_t>(s)].generation ==
+                group.committed_gen ||
+            queued[static_cast<size_t>(s)]) {
+          continue;
         }
-        if (rs.inputs[static_cast<size_t>(s)].generation ==
-            group.committed_gen) {
-          continue;  // duplicate event
-        }
-        // The same stream can be queued twice (launch backfill + commit
-        // event); the sequential path skips the second pop only after the
-        // first stored, so dedup within the batch here.
-        if (queued[static_cast<size_t>(s)]) continue;
         queued[static_cast<size_t>(s)] = true;
-        ShuffleFetchWant want;
-        want.map = s;
-        want.partition = r;
-        want.generation = static_cast<uint32_t>(group.committed_gen);
-        wants.push_back(want);
-        gens.push_back(group.committed_gen);
+        wants.push_back(
+            {s, group.committed_gen, group.segment, group.stored});
       }
     }
-    if (wants.empty()) return;
-    const auto t0 = Clock::now();
-    std::vector<ShuffleFetchResult> results =
-        transport_client_->FetchBatch(wants);
-    bool any_stored = false;
-    std::vector<std::pair<int, int>> lost;  // (stream, generation)
-    for (size_t i = 0; i < wants.size(); ++i) {
-      const int s = wants[i].map;
-      if (!results[i].transport_ok) {
-        lost.emplace_back(s, gens[i]);
-        continue;
-      }
-      if (StoreFetchedBody(&rs, s, gens[i], &results[i])) {
-        any_stored = true;
-      } else {
-        lost.emplace_back(s, gens[i]);
-      }
-    }
-    if (any_stored) RunReadyNodes(r, &rs);
-    const auto t1 = Clock::now();
-    rs.drain_busy_seconds += Seconds(t1 - t0);
-    AddBusy(t0, t1, /*merge_bucket=*/true);
-    for (const auto& [s, gen] : lost) HandleLostStream(r, s, gen);
-  }
-
-  void ProcessFetch(int r, int s) {
-    ReduceShuffle& rs = reduces_[static_cast<size_t>(r)];
-    std::shared_ptr<const SpillSegment> segment;
-    std::shared_ptr<const StoredSpill> disk;
-    int gen = -1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const GroupSlot& group = groups_[static_cast<size_t>(s)];
-      if (group.committed_gen < 0 ||
-          group.committed_gen != group.target_gen) {
-        return;  // stream mid-regeneration; the fresh publish re-enqueues
-      }
-      if (rs.inputs[static_cast<size_t>(s)].generation ==
-          group.committed_gen) {
-        return;  // duplicate event
-      }
-      segment = group.segment;
-      disk = group.stored;
-      gen = group.committed_gen;
-    }
-    // Simulated transfer time, spent before the busy window so it lands in
-    // the shuffle-wait bucket (lifetime minus busy), not in merge time.
-    // fixed latency + on-wire bytes / bandwidth: a compressed partition
-    // costs proportionally less wall-clock than its raw form, which is the
-    // end-to-end win the codec knob exists to measure. The tcp transport
-    // replaces the model with the measured wire, so it never sleeps here.
+    if (wants.empty()) return 0;
+    std::vector<FetchedInput> fetched(wants.size());
+    std::vector<bool> got(wants.size(), false);
+    Clock::time_point t0;
     if (transport_client_ == nullptr) {
-      double transfer_ms = static_cast<double>(conf_.fetch_latency_ms);
-      if (conf_.fetch_bandwidth_mbps > 0) {
-        const double wire_bytes = static_cast<double>(
-            disk != nullptr
-                ? disk->partitions()[static_cast<size_t>(r)].length
-                : segment->partitions[static_cast<size_t>(r)].length);
-        transfer_ms +=
-            wire_bytes / (conf_.fetch_bandwidth_mbps * 1024.0 * 1024.0) * 1e3;
+      // Modelled transfer time: fixed latency + on-wire bytes / bandwidth
+      // per partition, slept once for the batch before the busy window so
+      // it lands in the shuffle-wait bucket (lifetime minus busy), not in
+      // merge time. A compressed partition costs proportionally less
+      // wall-clock than its raw form, which is the end-to-end win the codec
+      // knob exists to measure. The tcp plane measures the real wire.
+      double transfer_ms = 0;
+      for (const FetchWant& want : wants) {
+        transfer_ms += static_cast<double>(conf_.fetch_latency_ms);
+        if (conf_.fetch_bandwidth_mbps > 0) {
+          const double wire_bytes = static_cast<double>(
+              want.stored != nullptr
+                  ? want.stored->partitions()[static_cast<size_t>(r)].length
+                  : want.segment->partitions[static_cast<size_t>(r)].length);
+          transfer_ms += wire_bytes /
+                         (conf_.fetch_bandwidth_mbps * 1024.0 * 1024.0) * 1e3;
+        }
       }
       if (transfer_ms > 0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(transfer_ms));
       }
+      t0 = Clock::now();
+      for (size_t i = 0; i < wants.size(); ++i) {
+        got[i] = VerifyLocal(r, wants[i], &fetched[i]);
+      }
+    } else {
+      t0 = Clock::now();
+      std::vector<ShuffleFetchWant> remote;
+      remote.reserve(wants.size());
+      for (const FetchWant& want : wants) {
+        remote.push_back({want.stream, r, static_cast<uint32_t>(want.gen)});
+      }
+      std::vector<ShuffleFetchResult> results =
+          transport_client_->FetchBatch(remote);
+      for (size_t i = 0; i < wants.size(); ++i) {
+        got[i] = results[i].transport_ok &&
+                 VerifyFetched(&results[i], &fetched[i]);
+      }
     }
-    const auto t0 = Clock::now();
-    const bool stored =
-        transport_client_ != nullptr
-            ? FetchAndStoreTcp(r, &rs, s, gen)
-            : VerifyAndStore(r, &rs, s, std::move(segment), std::move(disk),
-                             gen);
-    if (stored) RunReadyNodes(r, &rs);
+    bool any_stored = false;
+    for (size_t i = 0; i < wants.size(); ++i) {
+      if (!got[i]) continue;
+      StoreInput(r, rs, wants[i].stream, wants[i].gen,
+                 std::move(fetched[i]));
+      any_stored = true;
+    }
+    if (any_stored) RunReadyNodes(r, rs);
     const auto t1 = Clock::now();
-    rs.drain_busy_seconds += Seconds(t1 - t0);
     AddBusy(t0, t1, /*merge_bucket=*/true);
-    if (!stored) {
-      // Verification failed: the loss was reported (and, if this thread
-      // was the first reporter, the producers re-executed inline just now —
-      // that time is charged to the map phase, not the shuffle).
-      HandleLostStream(r, s, gen);
+    for (size_t i = 0; i < wants.size(); ++i) {
+      // Lost: the first reporter re-executes the producers inline right
+      // here, and that time is charged to the map phase, not the shuffle.
+      if (!got[i]) HandleLostStream(r, wants[i].stream, wants[i].gen);
     }
+    return Seconds(t1 - t0);
   }
 
-  // Verifies one fetched (stream, generation) partition — the once-per-
+  // Verifies partition `r` of an in-process output — the once-per-
   // generation CRC check; re-fetches of the same generation never re-hash —
-  // and stores the zero-copy view, invalidating any stale generation it
-  // replaces (plus every merge-plan node that folded the stale bytes).
-  // Returns false on a CRC mismatch, which the caller reports.
-  bool VerifyAndStore(int r, ReduceShuffle* rs, int s,
-                      std::shared_ptr<const SpillSegment> segment,
-                      std::shared_ptr<const StoredSpill> disk, int gen) {
+  // and makes it merge-ready in `*out`. Returns false on a CRC mismatch or
+  // an undecodable frame, which the caller reports.
+  bool VerifyLocal(int r, const FetchWant& want, FetchedInput* out) {
     const bool codec_active =
         conf_.effective_map_output_codec() != MapOutputCodec::kNone;
-    std::string owned;  // disk-path partition bytes (merge-ready framing)
-    if (disk != nullptr) {
+    if (want.stored != nullptr) {
       // Disk-backed output: read the partition back through the store.
       // Block CRCs are always checked down there (single-bit damage healed
       // in place); passing checksum_map_output additionally re-checks the
@@ -1581,9 +1538,10 @@ class PipelinedJob {
       // does. A kDataLoss (torn tail, unrepairable block, corrupt_map
       // injection) is the familiar lost-output event; a kIOError (injected
       // eio_prob exhausting its retries) is reported the same way and heals
-      // through re-execution rather than aborting.
+      // through re-execution rather than aborting. The read is this
+      // reduce's own copy, so the extent handle need not be pinned.
       Result<std::string> part =
-          disk->ReadPartition(r, conf_.checksum_map_output);
+          want.stored->ReadPartition(r, conf_.checksum_map_output);
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (conf_.checksum_map_output) ++result_.crc_verifications;
@@ -1592,21 +1550,14 @@ class PipelinedJob {
         }
       }
       if (!part.ok()) return false;
-      owned = std::move(part).value();
-      if (codec_active) {
-        std::string inflated;
-        const Status decode = BlockDecompress(owned, &inflated);
-        if (!decode.ok()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++result_.corruptions_detected;
-          return false;
-        }
-        owned = std::move(inflated);
-      }
-    } else if (conf_.checksum_map_output) {
+      if (codec_active) return Inflate(*part, &out->decompressed);
+      out->decompressed = std::move(part).value();
+      return true;
+    }
+    if (conf_.checksum_map_output) {
       // CRC runs over the stored bytes — the compressed form when a codec
       // is active, so sealing and verification got cheaper too.
-      const Status verify = VerifySegmentPartition(*segment, r);
+      const Status verify = VerifySegmentPartition(*want.segment, r);
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++result_.crc_verifications;
@@ -1614,84 +1565,22 @@ class PipelinedJob {
       }
       if (!verify.ok()) return false;
     }
-    // Decompress once per (stream, partition, generation) — the codec
-    // sibling of the CRC verify cache; re-fetches of a cached generation
-    // never re-inflate. A frame that fails to decode (its header CRC
-    // catches corruption even when checksum verification is off) is the
-    // same lost-output event as a CRC mismatch.
-    std::string decompressed;
-    if (disk == nullptr && codec_active) {
-      const Status decode =
-          BlockDecompress(segment->PartitionData(r), &decompressed);
-      if (!decode.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++result_.corruptions_detected;
-        return false;
-      }
-    }
-    FetchedInput& input = rs->inputs[static_cast<size_t>(s)];
-    if (input.generation >= 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++result_.stale_fetches_invalidated;
-    }
-    if (input.generation >= 0) DirtyNodesCovering(rs, s);
-    input.generation = gen;
-    if (disk != nullptr) {
-      // The read already copied (and decoded) this reduce's slice; the
-      // copy is self-owned, so the extent handle itself need not be pinned
-      // here — GroupSlot keeps it alive for later fetches.
-      input.segment.reset();
-      input.decompressed = std::move(owned);
-      input.view = input.decompressed;
-      return true;
-    }
-    input.segment = std::move(segment);
     if (codec_active) {
-      input.decompressed = std::move(decompressed);
-      input.view = input.decompressed;
-    } else {
-      input.view = input.segment->PartitionData(r);
+      return Inflate(want.segment->PartitionData(r), &out->decompressed);
     }
+    out->segment = want.segment;
     return true;
   }
 
-  // The tcp sibling of VerifyAndStore: fetches stream `s`'s partition `r`
-  // over the wire at generation `gen`, verifies it end to end, and stores
-  // the merge-ready bytes. Transport-level failures (dropped connection,
-  // torn header, short body) retry on a fresh connection; CRC mismatches
-  // and undecodable frames are corruption and go straight to the
-  // lost-output path. Returns false when the caller must report the stream
-  // lost; stale and not-found refusals also return false, where
-  // HandleLostStream is a no-op (the slot moved on) and the fresh commit's
-  // event re-fetches.
-  bool FetchAndStoreTcp(int r, ReduceShuffle* rs, int s, int gen) {
-    ShuffleFetchResult fetched;
-    for (int attempt = 0;; ++attempt) {
-      Result<ShuffleFetchResult> fetch =
-          transport_client_->Fetch(s, r, static_cast<uint32_t>(gen));
-      if (fetch.ok()) {
-        fetched = std::move(fetch).value();
-        break;
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      if (attempt + 1 >= kTransportFetchAttempts || job_failed_) {
-        return false;  // exhausted: declare the output lost, re-execute
-      }
-      ++result_.transport_retransmits;
-    }
-    return StoreFetchedBody(rs, s, gen, &fetched);
-  }
-
-  // Verifies and stores one transport-fetched partition body — the shared
-  // tail of the v1 (FetchAndStoreTcp) and batched (ProcessFetchBatch)
-  // paths. Spent wire buffers go back to the client's reuse pool; the
-  // merge-ready bytes escape into the FetchedInput.
-  bool StoreFetchedBody(ReduceShuffle* rs, int s, int gen,
-                        ShuffleFetchResult* fetched) {
+  // Verifies one transport-fetched partition body end to end and makes it
+  // merge-ready in `*out`. Spent wire buffers go back to the client's reuse
+  // pool; the merge-ready bytes escape into `*out`.
+  bool VerifyFetched(ShuffleFetchResult* fetched, FetchedInput* out) {
     if (fetched->status != FetchStatus::kOk) {
-      // kStaleGeneration / kNotFound: the server moved past `gen` (or a
-      // replaced registration raced us). Nothing to store; the commit that
-      // bumped the generation re-publishes and re-enqueues this fetch.
+      // kStaleGeneration / kNotFound: the server moved past the generation
+      // (or a replaced registration raced us). The commit that bumped the
+      // generation re-publishes and re-enqueues this fetch, and
+      // HandleLostStream is a no-op because the slot moved on.
       // kDataLoss: the registration is live but its backing bytes are gone
       // — a genuine lost output, re-executed via HandleLostStream.
       // kError (digest mismatch) can only be a wiring bug — treated as a
@@ -1720,20 +1609,32 @@ class PipelinedJob {
       }
       if (!matches) return false;
     }
-    const bool codec_active =
-        conf_.effective_map_output_codec() != MapOutputCodec::kNone;
-    std::string merged_ready;
-    if (codec_active) {
-      const Status decode = BlockDecompress(wire, &merged_ready);
-      transport_client_->RecycleBuffer(std::move(wire));
-      if (!decode.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++result_.corruptions_detected;
-        return false;
-      }
-    } else {
-      merged_ready = std::move(wire);
+    if (conf_.effective_map_output_codec() == MapOutputCodec::kNone) {
+      out->decompressed = std::move(wire);
+      return true;
     }
+    const bool inflated = Inflate(wire, &out->decompressed);
+    transport_client_->RecycleBuffer(std::move(wire));
+    return inflated;
+  }
+
+  // Decompresses a partition's sealed codec frames — once per (stream,
+  // partition, generation); re-fetches of a stored generation never
+  // re-inflate. A frame that fails to decode (its header CRC catches
+  // corruption even when checksum verification is off) is the same
+  // lost-output event as a CRC mismatch.
+  bool Inflate(std::string_view sealed, std::string* out) {
+    if (BlockDecompress(sealed, out).ok()) return true;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++result_.corruptions_detected;
+    return false;
+  }
+
+  // Installs verified merge-ready bytes as stream `s`'s input at `gen`. A
+  // replaced generation counts as a stale fetch, and every fold that holds
+  // slices of its bytes is reset before they go.
+  void StoreInput(int r, ReduceShuffle* rs, int s, int gen,
+                  FetchedInput fetched) {
     FetchedInput& input = rs->inputs[static_cast<size_t>(s)];
     if (input.generation >= 0) {
       {
@@ -1742,12 +1643,11 @@ class PipelinedJob {
       }
       DirtyNodesCovering(rs, s);
     }
+    input = std::move(fetched);
     input.generation = gen;
-    // The fetched copy is self-owned — no segment to pin, wire or not.
-    input.segment.reset();
-    input.decompressed = std::move(merged_ready);
-    input.view = input.decompressed;
-    return true;
+    input.view = input.segment != nullptr
+                     ? input.segment->PartitionData(r)
+                     : std::string_view(input.decompressed);
   }
 
   // Invalidates every intermediate merge that folded stream `s`'s bytes.
@@ -2139,44 +2039,27 @@ class PipelinedJob {
 
   // Brings every input back to the current generation after a mid-merge
   // corruption (final task only; drains are frozen out by final_scheduled,
-  // so this thread owns the fetch state again).
+  // so this thread owns the fetch state again): waits until every stream
+  // has re-committed, fetches the stale ones, and repeats while a refetch
+  // came back corrupt again.
   Status RefreshInputs(int r, ReduceShuffle* rs, CancelToken* token) {
-    for (int s = 0; s < num_streams_; ++s) {
-      while (true) {
+    while (true) {
+      std::vector<int> stale;
+      for (int s = 0; s < num_streams_; ++s) {
         MRMB_RETURN_IF_ERROR(WaitUntilCurrent(s, token));
-        std::shared_ptr<const SpillSegment> segment;
-        std::shared_ptr<const StoredSpill> disk;
-        int gen = -1;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          const GroupSlot& group = groups_[static_cast<size_t>(s)];
-          if (rs->inputs[static_cast<size_t>(s)].generation ==
-              group.committed_gen) {
-            break;  // already current
-          }
-          segment = group.segment;
-          disk = group.stored;
-          gen = group.committed_gen;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (rs->inputs[static_cast<size_t>(s)].generation !=
+            groups_[static_cast<size_t>(s)].committed_gen) {
+          stale.push_back(s);
         }
-        const auto t0 = Clock::now();
-        const bool stored =
-            transport_client_ != nullptr
-                ? FetchAndStoreTcp(r, rs, s, gen)
-                : VerifyAndStore(r, rs, s, std::move(segment),
-                                 std::move(disk), gen);
-        AddBusy(t0, Clock::now(), /*merge_bucket=*/true);
-        if (stored) break;
-        HandleLostStream(r, s, gen);  // corrupt again; wait for the next gen
       }
+      if (stale.empty()) break;
+      FetchStreams(r, rs, stale);
     }
-    const auto t0 = Clock::now();
-    RunReadyNodes(r, rs);
-    AddBusy(t0, Clock::now(), /*merge_bucket=*/true);
     for (const NodeState& node : rs->nodes) {
       if (!node.done) {
-        // A fold failed again mid-refresh; surface as DataLoss so the
-        // attempt loop retries (HandleLostOutput already ran inside
-        // RunReadyNodes).
+        // A fold whose refetched inputs are all current should have run;
+        // surface the miss as DataLoss so the attempt loop retries.
         return Status::DataLoss(StringPrintf(
             "reduce task %d: background merge kept failing on refetch", r));
       }
@@ -2570,7 +2453,6 @@ Status PipelinedJob::Execute(OutputFormat* output_format,
     client_options.job_digest = conf_.Digest();
     client_options.port = transport_server_->port();
     client_options.parallel_streams = conf_.fetch_parallel_streams;
-    client_options.protocol_version = conf_.shuffle_protocol_version;
     client_options.window_init = conf_.fetch_window_init;
     client_options.window_max = conf_.fetch_window_max;
     client_options.max_attempts = kTransportFetchAttempts;
@@ -2689,11 +2571,8 @@ Status PipelinedJob::Execute(OutputFormat* output_format,
     const ShuffleClientStats client_stats = transport_client_->stats();
     result->transport_fetch_rpcs = client_stats.rpcs;
     result->transport_fetched_partitions = client_stats.fetches;
-    result->transport_batches = client_stats.batches;
     result->transport_wire_bytes = client_stats.wire_bytes;
-    // The batched client retries internally; fold its retransmits into the
-    // runner-side (v1 path) count.
-    result->transport_retransmits += client_stats.retransmits;
+    result->transport_retransmits = client_stats.retransmits;
     result->transport_reconnects = client_stats.reconnects;
     result->transport_pool_hit_rate = client_stats.pool_hit_rate;
     result->transport_window_peak = client_stats.window_peak;

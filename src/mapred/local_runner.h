@@ -180,21 +180,18 @@ struct LocalJobResult {
   // True when the shuffle ran over the loopback TCP data plane; gates the
   // report section.
   bool transport_enabled = false;
-  // Fetch request messages the client put on the wire (v1 singles plus
-  // batch requests, including retries) and response bytes that crossed
-  // the wire (headers + bodies).
+  // Batch request messages the client put on the wire (including retries)
+  // and response bytes that crossed the wire (headers + bodies).
   int64_t transport_fetch_rpcs = 0;
-  // Partitions fetched (batched protocol entries + single fetches). With
-  // protocol v2 many partitions ride one RPC, so this exceeds
-  // transport_fetch_rpcs — the ratio is the batching amortization.
+  // Partitions fetched. Many partitions ride one batch request, so this
+  // exceeds transport_fetch_rpcs — the ratio is the batching amortization.
   int64_t transport_fetched_partitions = 0;
-  // Batch request messages among transport_fetch_rpcs (0 under v1).
-  int64_t transport_batches = 0;
   int64_t transport_wire_bytes = 0;
   // Fetches re-issued after a transport-level failure (dropped connection,
   // torn frame, short body).
   int64_t transport_retransmits = 0;
-  // Replacement connections dialed after a stream died mid-fetch.
+  // Times a batch fetch resumed on another connection after its own died
+  // mid-fetch.
   int64_t transport_reconnects = 0;
   // Server-side refusals: generation mismatch (re-executed map) and
   // not-yet-published map output.

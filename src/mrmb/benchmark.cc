@@ -64,7 +64,6 @@ JobConf BenchmarkOptions::ToJobConf() const {
   conf.fetch_bandwidth_mbps = fetch_bandwidth_mbps;
   conf.shuffle_transport = shuffle_transport;
   conf.fetch_parallel_streams = fetch_parallel_streams;
-  conf.shuffle_protocol_version = shuffle_protocol_version;
   conf.shuffle_server_reactors = shuffle_server_reactors;
   conf.fetch_window_init = fetch_window_init;
   conf.fetch_window_max = fetch_window_max;

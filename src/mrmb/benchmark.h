@@ -115,16 +115,13 @@ struct BenchmarkOptions {
   // each fetch on top of fetch_latency_ms. 0 = infinite bandwidth.
   double fetch_bandwidth_mbps = 0;
   // Shuffle data plane: in-process handoff (default) or real loopback TCP
-  // with `fetch_parallel_streams` concurrent connections per job. The tcp
-  // plane speaks the batched/pipelined wire protocol (v2) by default;
-  // shuffle_protocol_version = 1 forces one round trip per partition,
+  // with `fetch_parallel_streams` concurrent connections per job.
   // shuffle_server_reactors shards the server's epoll loops, and
   // fetch_window_init/max bound the client's AIMD in-flight window.
   // shuffle_socket_buffer_bytes sets SO_SNDBUF/SO_RCVBUF on every shuffle
   // socket (0 = kernel default).
   ShuffleTransport shuffle_transport = ShuffleTransport::kInproc;
   int fetch_parallel_streams = 4;
-  int shuffle_protocol_version = 2;
   int shuffle_server_reactors = 1;
   int fetch_window_init = 4;
   int fetch_window_max = 32;

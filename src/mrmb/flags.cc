@@ -176,11 +176,6 @@ Status ApplyFaultToleranceFlags(const Flags& flags,
                    options->fetch_parallel_streams));
   options->fetch_parallel_streams = static_cast<int>(parallel_streams);
   MRMB_ASSIGN_OR_RETURN(
-      const int64_t protocol_version,
-      flags.GetInt("shuffle-protocol-version",
-                   options->shuffle_protocol_version));
-  options->shuffle_protocol_version = static_cast<int>(protocol_version);
-  MRMB_ASSIGN_OR_RETURN(
       const int64_t server_reactors,
       flags.GetInt("shuffle-server-reactors",
                    options->shuffle_server_reactors));
@@ -295,10 +290,6 @@ const char* FaultToleranceFlagsHelp() {
       "  --fetch-parallel-streams=N\n"
       "                            concurrent fetch connections of the tcp\n"
       "                            transport's client (1-64; default 4)\n"
-      "  --shuffle-protocol-version=V\n"
-      "                            tcp shuffle wire protocol: 2 = batched/\n"
-      "                            pipelined multi-fetch (default), 1 = one\n"
-      "                            blocking round trip per partition\n"
       "  --shuffle-server-reactors=N\n"
       "                            epoll reactor threads the tcp shuffle\n"
       "                            server shards connections across (1-16;\n"

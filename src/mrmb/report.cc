@@ -278,16 +278,14 @@ void PrintLocalJobReport(const BenchmarkOptions& options,
     os << StringPrintf("Fetch RPCs           : %lld (%lld retransmitted)\n",
                        static_cast<long long>(result.transport_fetch_rpcs),
                        static_cast<long long>(result.transport_retransmits));
-    if (result.transport_batches > 0) {
-      os << StringPrintf(
-          "Batched fetches      : %lld partitions over %lld batch RPCs "
-          "(window peak %lld)\n",
-          static_cast<long long>(result.transport_fetched_partitions),
-          static_cast<long long>(result.transport_batches),
-          static_cast<long long>(result.transport_window_peak));
-      os << StringPrintf("Buffer pool hit rate : %.1f%%\n",
-                         result.transport_pool_hit_rate * 100.0);
-    }
+    os << StringPrintf(
+        "Batched fetches      : %lld partitions over %lld RPCs "
+        "(window peak %lld)\n",
+        static_cast<long long>(result.transport_fetched_partitions),
+        static_cast<long long>(result.transport_fetch_rpcs),
+        static_cast<long long>(result.transport_window_peak));
+    os << StringPrintf("Buffer pool hit rate : %.1f%%\n",
+                       result.transport_pool_hit_rate * 100.0);
     os << StringPrintf("Wire bytes           : %lld\n",
                        static_cast<long long>(result.transport_wire_bytes));
     os << StringPrintf("Serves               : %lld writev (RAM) / %lld "

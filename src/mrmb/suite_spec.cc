@@ -23,8 +23,8 @@ const char* const kKnownKeys[] = {
     "local-threads", "sort-threads", "task-timeout-ms", "checksum",
     "reduce-slowstart", "merge-factor", "fetch-latency-ms",
     "fetch-bandwidth-mbps", "map-output-codec", "shuffle-transport",
-    "fetch-parallel-streams", "shuffle-protocol-version",
-    "shuffle-server-reactors", "fetch-window-init", "fetch-window-max",
+    "fetch-parallel-streams", "shuffle-server-reactors",
+    "fetch-window-init", "fetch-window-max",
     "shuffle-socket-buffer-bytes", "local-fault-plan",
     // Combining pipeline.
     "combiner", "min-spills-for-combine", "node-combine-min-maps",
@@ -351,9 +351,6 @@ Result<ResolvedSection> ResolveSection(const SuiteSection& section) {
   MRMB_RETURN_IF_ERROR(int_value("fetch-parallel-streams",
                                  base.fetch_parallel_streams,
                                  &base.fetch_parallel_streams));
-  MRMB_RETURN_IF_ERROR(int_value("shuffle-protocol-version",
-                                 base.shuffle_protocol_version,
-                                 &base.shuffle_protocol_version));
   MRMB_RETURN_IF_ERROR(int_value("shuffle-server-reactors",
                                  base.shuffle_server_reactors,
                                  &base.shuffle_server_reactors));

@@ -90,19 +90,11 @@ bool SendAll(int fd, const char* buf, size_t len) {
   return true;
 }
 
-// Reads the big-endian fixed32 at the front of a buffered request stream.
-uint32_t PeekMagic(const std::string& in) {
-  return (static_cast<uint32_t>(static_cast<uint8_t>(in[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(in[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(in[2])) << 8) |
-         static_cast<uint32_t>(static_cast<uint8_t>(in[3]));
-}
-
 }  // namespace
 
 // ---- Server ---------------------------------------------------------------
 
-// One queued response (a v1 response or one v2 batch entry). `head` owns
+// One queued batch entry. `head` owns
 // the encoded header — plus the whole body for error/truncated responses —
 // the body is either a view into an anchored segment or a byte range of an
 // extent file. Per-block frames of a durable partition are adjacent on
@@ -363,79 +355,47 @@ bool ShuffleTransportServer::HandleWritable(Reactor* reactor,
 }
 
 // Decodes every complete buffered request — pipelining is the point, so
-// there is no one-in-flight gate — queueing one response per v1 request
-// and one per v2 batch want. Returns false when the connection was torn
-// down (protocol garbage, drop_conn injection).
+// there is no one-in-flight gate — queueing one entry per want. Returns
+// false when the connection was torn down (protocol garbage, drop_conn
+// injection).
 bool ShuffleTransportServer::ParseRequests(Reactor* reactor,
                                            Connection* conn) {
-  while (!conn->close_after_write && conn->in.size() >= 4) {
-    const uint32_t magic = PeekMagic(conn->in);
-    if (magic == kShuffleRequestMagic) {
-      if (conn->in.size() < kShuffleRequestSize) break;
-      ShuffleFetchRequest request;
-      const Status status = DecodeShuffleRequest(
-          std::string_view(conn->in).substr(0, kShuffleRequestSize),
-          &request);
-      conn->in.erase(0, kShuffleRequestSize);
-      if (!status.ok()) {  // protocol garbage: drop the connection
-        CloseConnection(reactor, conn);
-        return false;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.v1_requests;
-      }
-      ShuffleFetchWant want;
-      want.map = request.map;
-      want.partition = request.partition;
-      want.generation = request.generation;
-      if (!BuildEntry(conn, request.job_digest, want, /*v2=*/false, 0)) {
-        CloseConnection(reactor, conn);
-        return false;
-      }
-    } else if (magic == kShuffleBatchRequestMagic &&
-               options_.max_protocol_version >= 2) {
-      if (conn->in.size() < kShuffleBatchRequestHeadSize) break;
-      ShuffleBatchRequestHead head;
-      const Status decoded = DecodeShuffleBatchRequestHead(
-          std::string_view(conn->in).substr(0, kShuffleBatchRequestHeadSize),
-          &head);
-      if (!decoded.ok()) {
-        CloseConnection(reactor, conn);
-        return false;
-      }
-      const size_t need = kShuffleBatchRequestHeadSize +
-                          static_cast<size_t>(head.count) *
-                              kShuffleBatchWantSize;
-      if (conn->in.size() < need) break;
-      std::vector<ShuffleFetchWant> wants;
-      const Status parsed = DecodeShuffleBatchWants(
-          std::string_view(conn->in)
-              .substr(kShuffleBatchRequestHeadSize, need -
-                                                    kShuffleBatchRequestHeadSize),
-          head.count, &wants);
-      conn->in.erase(0, need);
-      if (!parsed.ok()) {
-        CloseConnection(reactor, conn);
-        return false;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.batch_requests;
-      }
-      for (uint32_t i = 0; i < head.count; ++i) {
-        if (!BuildEntry(conn, head.job_digest, wants[i], /*v2=*/true, i)) {
-          CloseConnection(reactor, conn);
-          return false;
-        }
-        // A truncation fault ends this connection after the queued bytes
-        // drain; later wants of the batch go unanswered (the client
-        // re-requests them on a fresh connection).
-        if (conn->close_after_write) break;
-      }
-    } else {
+  while (!conn->close_after_write &&
+         conn->in.size() >= kShuffleBatchRequestHeadSize) {
+    ShuffleBatchRequestHead head;
+    const Status decoded = DecodeShuffleBatchRequestHead(
+        std::string_view(conn->in).substr(0, kShuffleBatchRequestHeadSize),
+        &head);
+    if (!decoded.ok()) {  // protocol garbage: drop the connection
       CloseConnection(reactor, conn);
       return false;
+    }
+    const size_t need = kShuffleBatchRequestHeadSize +
+                        static_cast<size_t>(head.count) * kShuffleBatchWantSize;
+    if (conn->in.size() < need) break;
+    std::vector<ShuffleFetchWant> wants;
+    const Status parsed = DecodeShuffleBatchWants(
+        std::string_view(conn->in).substr(kShuffleBatchRequestHeadSize,
+                                          need - kShuffleBatchRequestHeadSize),
+        head.count, &wants);
+    conn->in.erase(0, need);
+    if (!parsed.ok()) {
+      CloseConnection(reactor, conn);
+      return false;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.batch_requests;
+    }
+    for (uint32_t i = 0; i < head.count; ++i) {
+      if (!BuildEntry(conn, head.job_digest, wants[i], i)) {
+        CloseConnection(reactor, conn);
+        return false;
+      }
+      // A truncation fault ends this connection after the queued bytes
+      // drain; later wants of the batch go unanswered (the client
+      // re-requests them on a fresh connection).
+      if (conn->close_after_write) break;
     }
   }
   return true;
@@ -444,7 +404,7 @@ bool ShuffleTransportServer::ParseRequests(Reactor* reactor,
 // Queues one response. Returns false only for a drop_conn injection — the
 // caller closes the connection before any of this entry's bytes exist.
 bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
-                                        const ShuffleFetchWant& want, bool v2,
+                                        const ShuffleFetchWant& want,
                                         uint32_t index) {
   ShuffleBatchEntryHeader entry;
   entry.index = index;
@@ -479,27 +439,10 @@ bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
   }
   if (fault == TransportFault::kDropConn) return false;
 
-  auto encode_header = [v2](const ShuffleBatchEntryHeader& e,
-                            std::string* out) {
-    if (v2) {
-      EncodeShuffleBatchEntryHeader(e, out);
-      return;
-    }
-    ShuffleFetchResponseHeader h;
-    h.status = e.status;
-    h.generation = e.generation;
-    h.raw_len = e.raw_len;
-    h.partition_crc = e.partition_crc;
-    h.records = e.records;
-    h.encoding = e.encoding;
-    h.body_len = e.body_len;
-    EncodeShuffleResponseHeader(h, out);
-  };
-
   OutChunk chunk;
   const int r = want.partition;
   if (entry.status != FetchStatus::kOk) {
-    encode_header(entry, &chunk.head);
+    EncodeShuffleBatchEntryHeader(entry, &chunk.head);
     conn->outq.push_back(std::move(chunk));
     return true;
   }
@@ -511,7 +454,7 @@ bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
     const auto& ranges = disk->partitions();
     if (r < 0 || static_cast<size_t>(r) >= ranges.size()) {
       entry.status = FetchStatus::kError;
-      encode_header(entry, &chunk.head);
+      EncodeShuffleBatchEntryHeader(entry, &chunk.head);
       conn->outq.push_back(std::move(chunk));
       return true;
     }
@@ -528,7 +471,7 @@ bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
     entry.records = range.records;
     entry.encoding = FetchEncoding::kFrameStream;
     entry.body_len = begin < 0 ? 0 : end - begin;
-    encode_header(entry, &chunk.head);
+    EncodeShuffleBatchEntryHeader(entry, &chunk.head);
     if (fault == TransportFault::kTruncFrame && entry.body_len > 0) {
       // Materialize half the body after the header, then hang up: the
       // client sees a short read mid-frame-stream.
@@ -551,7 +494,7 @@ bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
     const auto& ranges = segment->partitions;
     if (r < 0 || static_cast<size_t>(r) >= ranges.size()) {
       entry.status = FetchStatus::kError;
-      encode_header(entry, &chunk.head);
+      EncodeShuffleBatchEntryHeader(entry, &chunk.head);
       conn->outq.push_back(std::move(chunk));
       return true;
     }
@@ -562,7 +505,7 @@ bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
     entry.records = range.records;
     entry.encoding = FetchEncoding::kPartitionBytes;
     entry.body_len = static_cast<int64_t>(body.size());
-    encode_header(entry, &chunk.head);
+    EncodeShuffleBatchEntryHeader(entry, &chunk.head);
     if (fault == TransportFault::kTruncFrame && !body.empty()) {
       chunk.head.append(body.substr(0, std::max<size_t>(1, body.size() / 2)));
       conn->close_after_write = true;
@@ -578,7 +521,7 @@ bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
     // status keeps the rest of the batch serving.
     entry.status = FetchStatus::kDataLoss;
     entry.generation = want.generation;
-    encode_header(entry, &chunk.head);
+    EncodeShuffleBatchEntryHeader(entry, &chunk.head);
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.data_loss;
   }
@@ -775,11 +718,6 @@ int ShuffleTransportClient::AcquireConnection() {
   }
   ++open_streams_;
   ++stats_.connections;
-  if (broken_streams_ > 0) {
-    // This connect replaces one that died mid-fetch.
-    --broken_streams_;
-    ++stats_.reconnects;
-  }
   lock.unlock();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -814,7 +752,6 @@ void ShuffleTransportClient::ReleaseConnection(int fd, bool healthy) {
   } else {
     ::close(fd);
     --open_streams_;
-    ++broken_streams_;
   }
   cv_.notify_one();
 }
@@ -874,81 +811,6 @@ void ShuffleTransportClient::RecycleBuffer(std::string&& buffer) {
   }
 }
 
-Result<ShuffleFetchResult> ShuffleTransportClient::Fetch(int map,
-                                                         int partition,
-                                                         uint32_t generation) {
-  ShuffleFetchWant want;
-  want.map = map;
-  want.partition = partition;
-  want.generation = generation;
-  const int64_t delay = DelayForWant(want);
-  if (delay > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-  }
-  const double start_ms = NowMs();
-  const int fd = AcquireConnection();
-  if (fd < 0) return Status::IOError("shuffle fetch: connect failed");
-
-  ShuffleFetchRequest request;
-  request.job_digest = options_.job_digest;
-  request.map = map;
-  request.partition = partition;
-  request.generation = generation;
-  std::string wire;
-  EncodeShuffleRequest(request, &wire);
-  if (!SendAll(fd, wire.data(), wire.size())) {
-    ReleaseConnection(fd, false);
-    return Status::IOError("shuffle fetch: send failed");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rpcs;
-  }
-
-  char head[kShuffleResponseHeaderSize];
-  if (!RecvAll(fd, head, sizeof(head))) {
-    ReleaseConnection(fd, false);
-    return Status::IOError("shuffle fetch: torn response header");
-  }
-  ShuffleFetchResponseHeader header;
-  const Status decoded = DecodeShuffleResponseHeader(
-      std::string_view(head, sizeof(head)), &header);
-  if (!decoded.ok()) {
-    ReleaseConnection(fd, false);
-    return Status::IOError("shuffle fetch: bad response header: " +
-                           decoded.message());
-  }
-
-  ShuffleFetchResult result;
-  result.status = header.status;
-  result.generation = header.generation;
-  result.raw_len = header.raw_len;
-  result.partition_crc = header.partition_crc;
-  result.records = header.records;
-  result.encoding = header.encoding;
-  if (header.body_len > 0) {
-    ReserveInflight(header.body_len);
-    result.body = AcquireBuffer();
-    result.body.resize(static_cast<size_t>(header.body_len));
-    const bool ok = RecvAll(fd, result.body.data(), result.body.size());
-    ReleaseInflight(header.body_len);
-    if (!ok) {
-      RecycleBuffer(std::move(result.body));
-      ReleaseConnection(fd, false);
-      return Status::IOError("shuffle fetch: short body (" +
-                             std::to_string(header.body_len) +
-                             " bytes expected)");
-    }
-  }
-  ReleaseConnection(fd, true);
-
-  result.wire_bytes =
-      static_cast<int64_t>(kShuffleResponseHeaderSize) + header.body_len;
-  result.latency_ms = NowMs() - start_ms;
-  RecordEntry(result.wire_bytes, result.latency_ms);
-  return result;
-}
-
 bool ShuffleTransportClient::ReadBatchEntry(int fd, uint32_t expect_index,
                                             ShuffleFetchResult* result) {
   char head[kShuffleBatchEntryHeaderSize];
@@ -984,43 +846,13 @@ bool ShuffleTransportClient::ReadBatchEntry(int fd, uint32_t expect_index,
   return true;
 }
 
-void ShuffleTransportClient::FallbackFetchV1(
-    const std::vector<ShuffleFetchWant>& wants,
-    const std::vector<size_t>& todo,
-    std::vector<ShuffleFetchResult>* results) {
-  for (size_t idx : todo) {
-    const ShuffleFetchWant& want = wants[idx];
-    for (int attempt = 0;; ++attempt) {
-      Result<ShuffleFetchResult> fetch =
-          Fetch(want.map, want.partition, want.generation);
-      if (fetch.ok()) {
-        (*results)[idx] = std::move(fetch).value();
-        break;
-      }
-      if (attempt + 1 >= options_.max_attempts) {
-        (*results)[idx].transport_ok = false;
-        break;
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.retransmits;
-    }
-  }
-}
-
 std::vector<ShuffleFetchResult> ShuffleTransportClient::FetchBatch(
     const std::vector<ShuffleFetchWant>& wants) {
   std::vector<ShuffleFetchResult> results(wants.size());
   if (wants.empty()) return results;
 
-  std::vector<size_t> order(wants.size());
-  for (size_t i = 0; i < wants.size(); ++i) order[i] = i;
-  if (options_.protocol_version < 2 || server_is_v1_.load()) {
-    FallbackFetchV1(wants, order, &results);
-    return results;
-  }
-
   // slow_peer injection: every want's planned delay is consulted once, up
-  // front. Concurrent v1 streams would have overlapped these sleeps, so
+  // front. The wants' transfers would overlap on concurrent streams, so
   // the batch sleeps the max, not the sum.
   int64_t delay = 0;
   for (const ShuffleFetchWant& want : wants) {
@@ -1030,7 +862,8 @@ std::vector<ShuffleFetchResult> ShuffleTransportClient::FetchBatch(
     std::this_thread::sleep_for(std::chrono::milliseconds(delay));
   }
 
-  std::deque<size_t> pending(order.begin(), order.end());
+  std::deque<size_t> pending;
+  for (size_t i = 0; i < wants.size(); ++i) pending.push_back(i);
   std::vector<int> attempts(wants.size(), 0);
   struct Sent {
     size_t want_index;
@@ -1039,7 +872,7 @@ std::vector<ShuffleFetchResult> ShuffleTransportClient::FetchBatch(
   };
   std::deque<Sent> inflight;
   int fd = -1;
-  bool entry_on_conn = false;  // at least one full entry read on this fd
+  bool conn_died = false;  // this call's connection died mid-fetch
 
   // Charges one transport attempt to every outstanding entry; entries out
   // of budget are reported lost, the rest go back to `pending` in original
@@ -1064,23 +897,29 @@ std::vector<ShuffleFetchResult> ShuffleTransportClient::FetchBatch(
     stats_.retransmits += retried;
   };
 
+  // Tears down a connection that died mid-fetch and requeues what it
+  // still owed.
+  auto drop_connection = [&] {
+    ReleaseConnection(fd, false);
+    fd = -1;
+    conn_died = true;
+    window_.store(std::max(1, window_.load() / 2));
+    requeue_outstanding();
+  };
+
   while (!pending.empty() || !inflight.empty()) {
-    if (server_is_v1_.load()) {
-      // Latched mid-call: drain the rest through v1 single fetches.
-      std::vector<size_t> rest;
-      for (const Sent& s : inflight) rest.push_back(s.want_index);
-      for (size_t idx : pending) rest.push_back(idx);
-      FallbackFetchV1(wants, rest, &results);
-      if (fd >= 0) ReleaseConnection(fd, false);
-      return results;
-    }
     if (fd < 0) {
       fd = AcquireConnection();
-      entry_on_conn = false;
       if (fd < 0) {
         requeue_outstanding();
         if (pending.empty()) return results;
         continue;
+      }
+      if (conn_died) {
+        // Resuming on another connection after this call's own died.
+        conn_died = false;
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.reconnects;
       }
     }
     const size_t window = static_cast<size_t>(std::max(1, window_.load()));
@@ -1100,17 +939,13 @@ std::vector<ShuffleFetchResult> ShuffleTransportClient::FetchBatch(
       std::string wire;
       EncodeShuffleBatchRequest(options_.job_digest, batch.data(), n, &wire);
       if (!SendAll(fd, wire.data(), wire.size())) {
-        ReleaseConnection(fd, false);
-        fd = -1;
-        window_.store(std::max(1, window_.load() / 2));
-        requeue_outstanding();
+        drop_connection();
         continue;
       }
       const double sent_ms = NowMs();
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.rpcs;
-        ++stats_.batches;
         stats_.window_peak =
             std::max(stats_.window_peak, static_cast<int64_t>(window));
       }
@@ -1124,29 +959,8 @@ std::vector<ShuffleFetchResult> ShuffleTransportClient::FetchBatch(
     const Sent expect = inflight.front();
     ShuffleFetchResult& slot = results[expect.want_index];
     if (!ReadBatchEntry(fd, expect.batch_pos, &slot)) {
-      const bool zero_entries = !entry_on_conn;
-      ReleaseConnection(fd, false);
-      fd = -1;
-      window_.store(std::max(1, window_.load() / 2));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (zero_entries && !v2_succeeded_) {
-          // A server that drops every opening batch without a byte is a
-          // v1-only peer; a single injected fault can't strike twice in a
-          // row (its per-map sequence has moved on).
-          if (++opening_batch_deaths_ >= 2) server_is_v1_.store(true);
-        } else {
-          opening_batch_deaths_ = 0;
-        }
-      }
-      requeue_outstanding();
+      drop_connection();
       continue;
-    }
-    entry_on_conn = true;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      v2_succeeded_ = true;
-      opening_batch_deaths_ = 0;
     }
     inflight.pop_front();
     slot.transport_ok = true;

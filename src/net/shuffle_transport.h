@@ -9,12 +9,9 @@
 // the paper's measured-network posture, byte-identical output guaranteed by
 // the same CRC-sealed partition contract.
 //
-// Protocols. The server speaks both wire protocols on one port, dispatching
-// on the request magic:
-//   v1 ('MRSF') — one blocking request/response round trip per partition.
-//   v2 ('MRF2') — one batch request carries many wants; the server streams
-//     the responses back in order with per-entry status, so a stale
-//     generation or data-loss on one member never fails the batch.
+// Protocol (src/rpc/shuffle_wire). One batch request carries many wants;
+// the server streams the responses back in order with per-entry status, so
+// a stale generation or data-loss on one member never fails the batch.
 //
 // Reactor sharding. Accepted connections are handed round-robin to
 // `reactors` epoll threads; each reactor owns its connections outright, so
@@ -43,18 +40,16 @@
 // fresh connection (counted as retransmits). Received bodies land in a
 // reusable buffer pool — callers return buffers via RecycleBuffer once
 // decoded — killing per-fetch allocation churn; the pool hit rate is
-// reported in the client stats. A v2 client that twice sees its opening
-// batch die without a single response byte concludes the server is
-// v1-only and permanently falls back to single-fetch mode.
+// reported in the client stats.
 //
 // Error mapping. Socket errors, torn length prefixes, and short bodies
-// surface as kIOError (v1) or per-entry transport_ok=false after retries
-// (v2); frame/partition CRC mismatches surface as kDataLoss (counted as
+// surface as per-entry transport_ok=false once an entry has used its
+// retries; frame/partition CRC mismatches surface as kDataLoss (counted as
 // corruption, triggering generation-tracked map re-execution); a stale
 // generation is a clean kStaleGeneration reply, not an error.
 //
 // Threading. Publish may be called from any task thread. The client is
-// thread-safe: concurrent Fetch/FetchBatch calls multiplex over at most
+// thread-safe: concurrent FetchBatch calls multiplex over at most
 // `parallel_streams` persistent connections with a byte-budgeted admission
 // gate bounding in-flight body bytes.
 
@@ -89,7 +84,7 @@ enum class TransportFault {
 };
 
 struct ShuffleServerStats {
-  int64_t fetches_served = 0;  // entries answered (v1 responses + v2 entries)
+  int64_t fetches_served = 0;  // entries answered
   int64_t bytes_sent = 0;      // header + body bytes actually written
   int64_t ram_serves = 0;
   int64_t file_serves = 0;
@@ -98,7 +93,6 @@ struct ShuffleServerStats {
   int64_t data_loss = 0;
   int64_t faults_injected = 0;
   int64_t accepted_connections = 0;
-  int64_t v1_requests = 0;     // single-fetch requests decoded
   int64_t batch_requests = 0;  // batch requests decoded
 };
 
@@ -111,10 +105,6 @@ class ShuffleTransportServer {
     int reactors = 1;
     // SO_SNDBUF/SO_RCVBUF on accepted sockets; 0 = kernel default.
     int64_t socket_buffer_bytes = 0;
-    // When 1, batch ('MRF2') requests are treated as protocol garbage and
-    // the connection dropped — the PR 8 server's behavior, kept for
-    // cross-version fallback tests.
-    int max_protocol_version = 2;
     // Consulted once per fetch entry with (map, per-map fetch sequence
     // number); lets the fault injector fire drop_conn / trunc_frame exactly
     // once at a planned attempt. Runs on reactor threads and must never
@@ -161,10 +151,10 @@ class ShuffleTransportServer {
   // Parses complete buffered requests into queued responses. Returns false
   // when the connection was torn down (garbage or drop_conn injection).
   bool ParseRequests(Reactor* reactor, Connection* conn);
-  // Appends one response (v1 header or v2 entry) to the send queue.
-  // Returns false on a drop_conn injection — the caller must close.
+  // Appends one batch entry to the send queue. Returns false on a
+  // drop_conn injection — the caller must close.
   bool BuildEntry(Connection* conn, uint64_t job_digest,
-                  const ShuffleFetchWant& want, bool v2, uint32_t index);
+                  const ShuffleFetchWant& want, uint32_t index);
   void CloseConnection(Reactor* reactor, Connection* conn);
   bool FlushOutput(Reactor* reactor, Connection* conn);
 
@@ -183,12 +173,13 @@ class ShuffleTransportServer {
 };
 
 struct ShuffleClientStats {
-  int64_t fetches = 0;      // entries completed (v1 fetches + v2 entries)
-  int64_t rpcs = 0;         // request messages sent (v1 singles + batches)
-  int64_t batches = 0;      // batch request messages sent
+  int64_t fetches = 0;      // entries completed
+  int64_t rpcs = 0;         // batch request messages sent
   int64_t wire_bytes = 0;   // response header + body bytes received
   int64_t retransmits = 0;  // entries re-requested after a transport failure
-  int64_t reconnects = 0;   // connections (re)established after the first
+  // Times a FetchBatch resumed on another connection after its own died
+  // mid-fetch.
+  int64_t reconnects = 0;
   int64_t connections = 0;
   int64_t pool_hits = 0;    // body buffers served from the reuse pool
   int64_t pool_misses = 0;  // body buffers freshly allocated
@@ -200,9 +191,9 @@ struct ShuffleClientStats {
 
 // One completed fetch. `body` holds partition wire bytes for
 // kPartitionBytes responses and the raw extent frame stream for
-// kFrameStream (callers reassemble via ReassembleFrameStream). Batch
-// entries that still failed at the transport level after the client's
-// internal retries come back with transport_ok = false.
+// kFrameStream (callers reassemble via ReassembleFrameStream). Entries
+// that still failed at the transport level after the client's internal
+// retries come back with transport_ok = false.
 struct ShuffleFetchResult {
   FetchStatus status = FetchStatus::kOk;
   uint32_t generation = 0;
@@ -223,16 +214,16 @@ class ShuffleTransportClient {
     int port = 0;
     // Connection-pool size: at most this many concurrent fetch streams.
     int parallel_streams = 4;
-    // Wire protocol FetchBatch speaks: 2 = batched/pipelined (default),
-    // 1 = one v1 round trip per want.
+    // Ignored: the client speaks the one batch protocol. Kept because
+    // existing callers still assign it.
     int protocol_version = 2;
     // AIMD in-flight window: start at `window_init` outstanding entries,
     // grow by one per clean response up to `window_max`, halve on any
     // transport failure or timeout.
     int window_init = 4;
     int window_max = 32;
-    // Transport-retry budget: a batch entry (or v1 fetch) that fails this
-    // many times is reported lost.
+    // Transport-retry budget: an entry that fails this many times is
+    // reported lost.
     int max_attempts = 3;
     // SO_SNDBUF/SO_RCVBUF on client sockets; 0 = kernel default.
     int64_t socket_buffer_bytes = 0;
@@ -251,19 +242,12 @@ class ShuffleTransportClient {
   ShuffleTransportClient(const ShuffleTransportClient&) = delete;
   ShuffleTransportClient& operator=(const ShuffleTransportClient&) = delete;
 
-  // One blocking v1 request/response round trip. kIOError covers every
-  // transport-level failure (connect/send/recv error, torn header, short
-  // body); protocol-level refusals come back as a FetchStatus in the
-  // result. Thread-safe.
-  Result<ShuffleFetchResult> Fetch(int map, int partition,
-                                   uint32_t generation);
-
   // Fetches every want over one pipelined connection under the AIMD
   // window, retrying transport failures internally up to `max_attempts`
   // per entry. Always returns wants.size() results in want order; entries
-  // that kept failing have transport_ok = false. With protocol_version = 1
-  // (or after v1-server fallback) each want is a v1 round trip instead.
-  // Thread-safe; concurrent calls use distinct pooled connections.
+  // that kept failing have transport_ok = false. Protocol-level refusals
+  // come back as a FetchStatus in the result. Thread-safe; concurrent calls
+  // use distinct pooled connections.
   std::vector<ShuffleFetchResult> FetchBatch(
       const std::vector<ShuffleFetchWant>& wants);
 
@@ -286,26 +270,17 @@ class ShuffleTransportClient {
   // Returns false on any transport-level failure.
   bool ReadBatchEntry(int fd, uint32_t expect_index,
                       ShuffleFetchResult* result);
-  void FallbackFetchV1(const std::vector<ShuffleFetchWant>& wants,
-                       const std::vector<size_t>& todo,
-                       std::vector<ShuffleFetchResult>* results);
 
   const Options options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<int> idle_fds_;
   int open_streams_ = 0;
-  int broken_streams_ = 0;  // connections torn down mid-fetch, not yet replaced
   int64_t inflight_bytes_ = 0;
   std::unordered_map<int, std::int64_t> fetch_seq_;  // per-map counter
   std::vector<double> latencies_ms_;
   std::vector<std::string> buffer_pool_;
   std::atomic<int> window_;
-  // v1-server fallback latch: set after two consecutive zero-byte deaths
-  // of opening batches with no v2 response ever received.
-  std::atomic<bool> server_is_v1_{false};
-  int opening_batch_deaths_ = 0;  // guarded by mu_
-  bool v2_succeeded_ = false;     // guarded by mu_
   mutable ShuffleClientStats stats_;
 };
 

@@ -21,97 +21,6 @@ const char* FetchStatusName(FetchStatus status) {
   return "unknown";
 }
 
-void EncodeShuffleRequest(const ShuffleFetchRequest& request,
-                          std::string* out) {
-  BufferWriter writer(out);
-  writer.AppendFixed32(kShuffleRequestMagic);
-  writer.AppendFixed64(request.job_digest);
-  writer.AppendFixed32(static_cast<uint32_t>(request.map));
-  writer.AppendFixed32(static_cast<uint32_t>(request.partition));
-  writer.AppendFixed32(request.generation);
-  writer.AppendFixed32(0);  // reserved flags
-}
-
-Status DecodeShuffleRequest(std::string_view data,
-                            ShuffleFetchRequest* request) {
-  if (data.size() != kShuffleRequestSize) {
-    return Status::InvalidArgument("shuffle request: bad size " +
-                                   std::to_string(data.size()));
-  }
-  BufferReader reader(data);
-  uint32_t magic = 0;
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&magic));
-  if (magic != kShuffleRequestMagic) {
-    return Status::InvalidArgument("shuffle request: bad magic");
-  }
-  uint64_t digest = 0;
-  uint32_t map = 0, partition = 0, generation = 0, flags = 0;
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed64(&digest));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&map));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&partition));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&generation));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&flags));
-  if (flags != 0) {
-    return Status::InvalidArgument("shuffle request: nonzero reserved flags");
-  }
-  request->job_digest = digest;
-  request->map = static_cast<int>(map);
-  request->partition = static_cast<int>(partition);
-  request->generation = generation;
-  return Status::OK();
-}
-
-void EncodeShuffleResponseHeader(const ShuffleFetchResponseHeader& header,
-                                 std::string* out) {
-  BufferWriter writer(out);
-  writer.AppendFixed32(kShuffleResponseMagic);
-  writer.AppendByte(static_cast<uint8_t>(header.status));
-  writer.AppendFixed32(header.generation);
-  writer.AppendFixed64(static_cast<uint64_t>(header.raw_len));
-  writer.AppendFixed32(header.partition_crc);
-  writer.AppendFixed64(static_cast<uint64_t>(header.records));
-  writer.AppendByte(static_cast<uint8_t>(header.encoding));
-  writer.AppendFixed64(static_cast<uint64_t>(header.body_len));
-}
-
-Status DecodeShuffleResponseHeader(std::string_view data,
-                                   ShuffleFetchResponseHeader* header) {
-  if (data.size() != kShuffleResponseHeaderSize) {
-    return Status::InvalidArgument("shuffle response: bad header size " +
-                                   std::to_string(data.size()));
-  }
-  BufferReader reader(data);
-  uint32_t magic = 0;
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&magic));
-  if (magic != kShuffleResponseMagic) {
-    return Status::InvalidArgument("shuffle response: bad magic");
-  }
-  uint8_t status = 0, encoding = 0;
-  uint32_t generation = 0, crc = 0;
-  uint64_t raw_len = 0, records = 0, body_len = 0;
-  MRMB_RETURN_IF_ERROR(reader.ReadByte(&status));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&generation));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed64(&raw_len));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed32(&crc));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed64(&records));
-  MRMB_RETURN_IF_ERROR(reader.ReadByte(&encoding));
-  MRMB_RETURN_IF_ERROR(reader.ReadFixed64(&body_len));
-  if (status > static_cast<uint8_t>(FetchStatus::kDataLoss)) {
-    return Status::InvalidArgument("shuffle response: bad status byte");
-  }
-  if (encoding > static_cast<uint8_t>(FetchEncoding::kFrameStream)) {
-    return Status::InvalidArgument("shuffle response: bad encoding byte");
-  }
-  header->status = static_cast<FetchStatus>(status);
-  header->generation = generation;
-  header->raw_len = static_cast<int64_t>(raw_len);
-  header->partition_crc = crc;
-  header->records = static_cast<int64_t>(records);
-  header->encoding = static_cast<FetchEncoding>(encoding);
-  header->body_len = static_cast<int64_t>(body_len);
-  return Status::OK();
-}
-
 void EncodeShuffleBatchRequest(uint64_t job_digest,
                                const ShuffleFetchWant* wants, size_t count,
                                std::string* out) {

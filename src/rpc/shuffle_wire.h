@@ -2,49 +2,17 @@
 //
 // The transport (src/net/shuffle_transport) moves sealed map-output
 // partitions between a server owned by the job and one client per run.
-// Both sides speak the fixed-size, length-delimited protocol defined
-// here; the encode/decode helpers live in their own small library
-// (mrmb_shuffle_rpc) so the net layer can use them without pulling in
-// the cluster-level RPC stack.
+// Both sides speak the length-delimited protocol defined here; the
+// encode/decode helpers live in their own small library (mrmb_shuffle_rpc)
+// so the net layer can use them without pulling in the cluster-level RPC
+// stack. All integers are big-endian (BufferWriter convention).
 //
-// Request (28 bytes, all integers big-endian — BufferWriter convention):
-//
-//   fixed32  magic      'MRSF' (0x4d525346)
-//   fixed64  job_digest JobConf::Digest() of the job being fetched
-//   fixed32  map        map task id
-//   fixed32  partition  reduce partition id
-//   fixed32  generation map-output generation the client believes is live
-//   fixed32  flags      reserved, must be 0
-//
-// Response header (38 bytes) followed by `body_len` bytes of body:
-//
-//   fixed32  magic      'MRSR' (0x4d525352)
-//   byte     status     FetchStatus
-//   fixed32  generation generation actually served
-//   fixed64  raw_len    decompressed partition length (bookkeeping only)
-//   fixed32  partition_crc  CRC32C of the partition wire bytes
-//   fixed64  records    record count in the partition
-//   byte     encoding   FetchEncoding of the body
-//   fixed64  body_len   body bytes that follow
-//
-// Body encodings:
-//   kPartitionBytes — the partition's sealed wire bytes verbatim (what
-//     SpillSegment::PartitionData / StoredSpill::ReadPartition return).
-//     Served zero-copy from RAM-resident segments via writev.
-//   kFrameStream — the partition's extent byte range verbatim: a sequence
-//     of [fixed32 frame_len][block-codec frame] records exactly as the
-//     durable spill file stores them. Served zero-copy from disk via
-//     sendfile/pread; the client reassembles (and CRC-verifies) each
-//     frame with BlockDecompress, so the server never re-frames or
-//     re-checksums on the hot path.
-//
-// Protocol v2 (batched, the "MRSF2" protocol). One request carries a batch
-// of wants; the server streams back one length-delimited response per want,
-// in request order, over the same connection — one round trip amortized
-// over the whole batch. Per-entry status means a stale generation or a
-// data-loss on one member never fails the batch. The first four bytes of
-// any request disambiguate v1 ('MRSF') from v2 ('MRF2') so one server port
-// speaks both.
+// One request carries a batch of wants; the server streams back one
+// length-delimited response per want, in request order, over the same
+// connection — one round trip amortized over the whole batch. Per-entry
+// status means a stale generation or a data-loss on one member never fails
+// the batch. A request that does not start with the batch magic is
+// protocol garbage: the server drops that connection.
 //
 // Batch request head (20 bytes) followed by `count` 12-byte wants:
 //
@@ -71,6 +39,17 @@
 //   fixed64  records    record count in the partition
 //   byte     encoding   FetchEncoding of the body
 //   fixed64  body_len   body bytes that follow
+//
+// Body encodings:
+//   kPartitionBytes — the partition's sealed wire bytes verbatim (what
+//     SpillSegment::PartitionData / StoredSpill::ReadPartition return).
+//     Served zero-copy from RAM-resident segments via writev.
+//   kFrameStream — the partition's extent byte range verbatim: a sequence
+//     of [fixed32 frame_len][block-codec frame] records exactly as the
+//     durable spill file stores them. Served zero-copy from disk via
+//     sendfile/pread; the client reassembles (and CRC-verifies) each
+//     frame with BlockDecompress, so the server never re-frames or
+//     re-checksums on the hot path.
 
 #ifndef MRMB_RPC_SHUFFLE_WIRE_H_
 #define MRMB_RPC_SHUFFLE_WIRE_H_
@@ -83,11 +62,6 @@
 #include "common/status.h"
 
 namespace mrmb {
-
-inline constexpr uint32_t kShuffleRequestMagic = 0x4d525346;   // 'MRSF'
-inline constexpr uint32_t kShuffleResponseMagic = 0x4d525352;  // 'MRSR'
-inline constexpr size_t kShuffleRequestSize = 28;
-inline constexpr size_t kShuffleResponseHeaderSize = 38;
 
 inline constexpr uint32_t kShuffleBatchRequestMagic = 0x4d524632;  // 'MRF2'
 inline constexpr uint32_t kShuffleBatchEntryMagic = 0x4d525232;    // 'MRR2'
@@ -122,40 +96,6 @@ enum class FetchEncoding : uint8_t {
   kFrameStream = 1,
 };
 
-struct ShuffleFetchRequest {
-  uint64_t job_digest = 0;
-  int map = 0;
-  int partition = 0;
-  uint32_t generation = 0;
-};
-
-struct ShuffleFetchResponseHeader {
-  FetchStatus status = FetchStatus::kOk;
-  uint32_t generation = 0;
-  int64_t raw_len = 0;
-  uint32_t partition_crc = 0;
-  int64_t records = 0;
-  FetchEncoding encoding = FetchEncoding::kPartitionBytes;
-  int64_t body_len = 0;
-};
-
-// Appends the 28-byte request to `out`.
-void EncodeShuffleRequest(const ShuffleFetchRequest& request,
-                          std::string* out);
-// Decodes a full 28-byte request buffer. InvalidArgument on bad magic,
-// size, or nonzero reserved flags.
-Status DecodeShuffleRequest(std::string_view data,
-                            ShuffleFetchRequest* request);
-
-// Appends the 38-byte response header to `out`.
-void EncodeShuffleResponseHeader(const ShuffleFetchResponseHeader& header,
-                                 std::string* out);
-// Decodes a full 38-byte response header buffer.
-Status DecodeShuffleResponseHeader(std::string_view data,
-                                   ShuffleFetchResponseHeader* header);
-
-// ---- protocol v2: batched fetch ----
-
 // One (map, partition, generation) the client wants served.
 struct ShuffleFetchWant {
   int map = 0;
@@ -168,8 +108,8 @@ struct ShuffleBatchRequestHead {
   uint32_t count = 0;
 };
 
-// Per-entry response header: the want's batch position plus the same
-// fields the v1 response header carries.
+// Per-entry response header: the want's batch position, the serve status
+// and generation, and the partition's bookkeeping and body framing.
 struct ShuffleBatchEntryHeader {
   uint32_t index = 0;
   FetchStatus status = FetchStatus::kOk;
