@@ -18,6 +18,7 @@
 #include "io/byte_buffer.h"
 #include "io/checksum.h"
 #include "io/kv_buffer.h"
+#include "mapred/fault_injector.h"
 #include "mapred/local_runner.h"
 #include "mapred/null_formats.h"
 #include "order_digest.h"
@@ -434,12 +435,26 @@ TEST(SortDeterminismTest, JobOutputMatchesGoldenWithBoundedMergeFanIn) {
 // Nine maps, few keys and several spills per map: every group's values
 // arrive from many spills of many maps, and the engine must hand them to
 // the reducer in (map, record) order however the reduce side folds its
-// streams. merge_factor 2 folds 9 -> 5 -> 3 -> 2 streams, 3 folds once
-// per triple, and 16 is the flat merge. Each factor runs over the
-// in-process shuffle and over tcp + lz4 with every spill on disk, where
-// the folds read the reduce's own decompressed copies.
+// streams and whichever plane serves the map outputs. merge_factor 2 folds
+// 9 -> 5 -> 3 -> 2 streams, 3 folds once per triple, and 16 is the flat
+// merge. The planes cover both transports, with and without lz4, with the
+// outputs in RAM or every spill and output on disk, and in-node combining
+// (no combiner: the nodes merge their three members' streams into one).
 
-JobConf ValueOrderConf(int merge_factor, bool tcp_lz4_disk) {
+// How the value-order job holds and moves its map outputs.
+struct OrderPlane {
+  const char* name;
+  bool tcp = false;
+  MapOutputCodec codec = MapOutputCodec::kNone;
+  bool on_disk = false;  // spill_budget_bytes = 0
+  int node_combine_min_maps = 0;
+};
+
+constexpr OrderPlane kInproc{"inproc"};
+constexpr OrderPlane kTcpLz4Disk{"tcp+lz4+disk", true, MapOutputCodec::kLz4,
+                                 true};
+
+JobConf ValueOrderConf(int merge_factor, const OrderPlane& plane) {
   JobConf conf;
   conf.num_maps = 9;
   conf.num_reduces = 2;
@@ -452,11 +467,10 @@ JobConf ValueOrderConf(int merge_factor, bool tcp_lz4_disk) {
   conf.merge_factor = merge_factor;
   conf.local_threads = 4;
   conf.seed = 19;
-  if (tcp_lz4_disk) {
-    conf.shuffle_transport = ShuffleTransport::kTcp;
-    conf.map_output_codec = MapOutputCodec::kLz4;
-    conf.spill_budget_bytes = 0;
-  }
+  if (plane.tcp) conf.shuffle_transport = ShuffleTransport::kTcp;
+  conf.map_output_codec = plane.codec;
+  if (plane.on_disk) conf.spill_budget_bytes = 0;
+  conf.node_combine_min_maps = plane.node_combine_min_maps;
   return conf;
 }
 
@@ -465,18 +479,56 @@ constexpr uint32_t kGoldenValueOrderDigest = 0xb9be9a4bu;
 constexpr uint32_t kGoldenSummedOutput = 0xb399a2e3u;
 
 TEST(SortDeterminismTest, ValueOrderIdenticalAcrossFoldPlansAndTransports) {
-  for (bool tcp_lz4_disk : {false, true}) {
+  const OrderPlane planes[] = {
+      kInproc,
+      kTcpLz4Disk,
+      {"tcp", true},
+      {"tcp+lz4", true, MapOutputCodec::kLz4},
+      {"inproc+lz4", false, MapOutputCodec::kLz4},
+      {"inproc+disk", false, MapOutputCodec::kNone, true},
+      {"tcp+disk", true, MapOutputCodec::kNone, true},
+      {"inproc+node3", false, MapOutputCodec::kNone, false, 3},
+      {"tcp+node3", true, MapOutputCodec::kNone, false, 3},
+  };
+  for (const OrderPlane& plane : planes) {
     for (int merge_factor : {2, 3, 16}) {
-      auto job = RunOrderDigestJob(ValueOrderConf(merge_factor, tcp_lz4_disk));
-      ASSERT_TRUE(job.ok()) << job.status().ToString();
+      auto job = RunOrderDigestJob(ValueOrderConf(merge_factor, plane));
+      ASSERT_TRUE(job.ok()) << plane.name << ": " << job.status().ToString();
       EXPECT_GT(job->spill_count, 2 * 9);
       EXPECT_GT(job->reduce_groups, 2);
-      EXPECT_EQ(job->intermediate_merges,
-                merge_factor == 2 ? 2 * 7 : merge_factor == 3 ? 2 * 3 : 0)
-          << "merge_factor=" << merge_factor;
+      // Node combining leaves three streams: one fold per reduce at 2.
+      const int64_t folds =
+          plane.node_combine_min_maps == 3
+              ? (merge_factor == 2 ? 2 : 0)
+              : (merge_factor == 2 ? 2 * 7 : merge_factor == 3 ? 2 * 3 : 0);
+      EXPECT_EQ(job->intermediate_merges, folds)
+          << plane.name << " merge_factor=" << merge_factor;
       EXPECT_EQ(job->output_fingerprint, kGoldenValueOrderDigest)
-          << "merge_factor=" << merge_factor
-          << " tcp_lz4_disk=" << tcp_lz4_disk;
+          << plane.name << " merge_factor=" << merge_factor;
+    }
+  }
+}
+
+// A flipped bit in one map's output is caught (by the partition CRC) and
+// the map re-executed; the recovered job still hands every group's values
+// over in the golden order. Over tcp the verification count depends on
+// which fetches were in flight when the loss was declared, so only the
+// corruption and the attempts are pinned.
+TEST(SortDeterminismTest, ValueOrderIdenticalAfterCorruptMapRecovery) {
+  Result<LocalFaultPlan> fault = LocalFaultPlan::Parse("corrupt_map:3@a=0,p=1");
+  ASSERT_TRUE(fault.ok()) << fault.status().ToString();
+  for (const OrderPlane& plane : {kInproc, OrderPlane{"tcp", true}}) {
+    for (int merge_factor : {2, 16}) {
+      JobConf conf = ValueOrderConf(merge_factor, plane);
+      conf.local_fault_plan = *fault;
+      auto job = RunOrderDigestJob(conf);
+      ASSERT_TRUE(job.ok()) << plane.name << ": " << job.status().ToString();
+      EXPECT_EQ(job->corruptions_detected, 1)
+          << plane.name << " merge_factor=" << merge_factor;
+      EXPECT_EQ(job->map_attempts, 10)
+          << plane.name << " merge_factor=" << merge_factor;
+      EXPECT_EQ(job->output_fingerprint, kGoldenValueOrderDigest)
+          << plane.name << " merge_factor=" << merge_factor;
     }
   }
 }
@@ -485,7 +537,7 @@ TEST(SortDeterminismTest, ValueOrderIdenticalAcrossFoldPlansAndTransports) {
 // stage, reduce-side folds included (min_spills_for_combine 1).
 TEST(SortDeterminismTest, SummedOutputIdenticalAcrossFoldPlans) {
   for (int merge_factor : {2, 3, 16}) {
-    JobConf conf = ValueOrderConf(merge_factor, /*tcp_lz4_disk=*/false);
+    JobConf conf = ValueOrderConf(merge_factor, kInproc);
     conf.record.type = DataType::kLongWritable;
     conf.combiner = CombinerKind::kSum;
     conf.min_spills_for_combine = 1;
