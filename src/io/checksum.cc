@@ -152,11 +152,23 @@ const char* Crc32cImplName() {
   return DispatchedCrc32c() == &Crc32cHardware ? "sse4.2" : "slicing-by-8";
 }
 
+namespace {
+
+// CRC32C of one partition's bytes, streamed over its slices in order.
+uint32_t PartitionCrc(const SpillSegment& segment, int partition) {
+  uint32_t crc = kCrc32cInit;
+  for (const std::string_view slice : segment.PartitionSlices(partition)) {
+    crc = Crc32c(crc, slice);
+  }
+  return crc;
+}
+
+}  // namespace
+
 void SealSegment(SpillSegment* segment) {
   MRMB_CHECK(segment != nullptr);
   for (size_t p = 0; p < segment->partitions.size(); ++p) {
-    segment->partitions[p].crc =
-        Crc32c(segment->PartitionData(static_cast<int>(p)));
+    segment->partitions[p].crc = PartitionCrc(*segment, static_cast<int>(p));
   }
   segment->sealed = true;
 }
@@ -171,7 +183,7 @@ Status VerifySegmentPartition(const SpillSegment& segment, int partition) {
   }
   const SpillSegment::PartitionRange& range =
       segment.partitions[static_cast<size_t>(partition)];
-  const uint32_t actual = Crc32c(segment.PartitionData(partition));
+  const uint32_t actual = PartitionCrc(segment, partition);
   if (actual != range.crc) {
     return Status::DataLoss(StringPrintf(
         "partition %d failed CRC32C verification (stored %08x, computed "

@@ -61,7 +61,9 @@ bool Crc32cHardwareAvailable();
 const char* Crc32cImplName();
 
 // Computes and stores the CRC32C of every partition range of `segment`
-// (SpillSegment::PartitionRange::crc) and marks the segment sealed.
+// (SpillSegment::PartitionRange::crc) and marks the segment sealed. A sliced
+// segment's CRCs are streamed over its slices in order, so they equal those
+// of a contiguous segment holding the same bytes.
 void SealSegment(SpillSegment* segment);
 
 // Verifies one partition range of a sealed segment against its stored

@@ -11,12 +11,44 @@
 
 namespace mrmb {
 
+int64_t SpillSegment::total_bytes() const {
+  if (!sliced()) return static_cast<int64_t>(data.size());
+  int64_t n = 0;
+  for (const PartitionRange& p : partitions) n += p.length;
+  return n;
+}
+
 std::string_view SpillSegment::PartitionData(int partition) const {
+  MRMB_CHECK(!sliced()) << "PartitionData of a sliced segment";
   MRMB_CHECK_GE(partition, 0);
   MRMB_CHECK_LT(static_cast<size_t>(partition), partitions.size());
   const PartitionRange& range = partitions[static_cast<size_t>(partition)];
   return std::string_view(data).substr(static_cast<size_t>(range.offset),
                                        static_cast<size_t>(range.length));
+}
+
+std::vector<std::string_view> SpillSegment::PartitionSlices(
+    int partition) const {
+  if (!sliced()) return {PartitionData(partition)};
+  MRMB_CHECK_GE(partition, 0);
+  MRMB_CHECK_LT(static_cast<size_t>(partition), slices.size());
+  std::vector<std::string_view> views;
+  views.reserve(slices[static_cast<size_t>(partition)].size());
+  for (const Slice& slice : slices[static_cast<size_t>(partition)]) {
+    views.push_back(std::string_view(buffers[slice.buffer])
+                        .substr(slice.offset, slice.length));
+  }
+  return views;
+}
+
+std::string_view SpillSegment::PartitionBytes(int partition,
+                                              std::string* scratch) const {
+  if (!sliced()) return PartitionData(partition);
+  scratch->clear();
+  for (const std::string_view slice : PartitionSlices(partition)) {
+    scratch->append(slice);
+  }
+  return *scratch;
 }
 
 namespace {
@@ -158,7 +190,7 @@ void KvBuffer::Sort(ThreadPool* pool) {
   sorted_ = true;
 }
 
-SpillSegment KvBuffer::ToSpill() const {
+SpillSegment KvBuffer::ToSpill(bool seal) const {
   MRMB_CHECK(sorted_) << "ToSpill requires Sort()";
   SpillSegment spill;
   spill.data.resize(used_);
@@ -177,7 +209,7 @@ SpillSegment KvBuffer::ToSpill() const {
     range.length = (out - begin) - range.offset;
     range.records = static_cast<int64_t>(buckets_[p].size());
   }
-  SealSegment(&spill);
+  if (seal) SealSegment(&spill);
   return spill;
 }
 

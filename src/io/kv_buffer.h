@@ -32,38 +32,66 @@
 
 namespace mrmb {
 
-// An immutable sorted run of framed records with a per-partition index.
+// An immutable sorted run of framed records with a per-partition index,
+// held in one of two forms that PartitionSlices reads alike:
+//   - contiguous: every partition range is a stretch of `data` (a spill, a
+//     combiner's output, a codec-framed output);
+//   - sliced: a multi-spill map output that owns its spills' bytes in
+//     `buffers` and leaves `data` empty; partition p is the concatenation of
+//     `slices[p]`, stretches of those buffers in merge order
+//     (mapred/map_output.h, MergeSpillsToSlices).
 struct SpillSegment {
   struct PartitionRange {
-    int64_t offset = 0;   // byte offset into `data`
+    // Byte offset into `data`; in the sliced form, into the concatenation
+    // of every partition's bytes, which is where a contiguous segment with
+    // the same bytes would hold the range.
+    int64_t offset = 0;
     int64_t length = 0;   // bytes as stored (on-wire when compressed)
     int64_t records = 0;  // record count
     // Decompressed (logical) size of the range when the spill path ran a
     // codec over it (CompressSegment, map_output_codec != none); -1 when
     // the range holds raw framed records.
     int64_t raw_length = -1;
-    // CRC32C of the range's bytes, sealed at spill/merge time (Hadoop's
-    // IFile checksum) and verified at shuffle-read time. For compressed
-    // ranges this covers the compressed bytes — verification never pays
-    // for more than what travelled the wire.
+    // CRC32C of the range's bytes (in slice order), sealed at spill/merge
+    // time (Hadoop's IFile checksum) and verified at shuffle-read time. For
+    // compressed ranges this covers the compressed bytes — verification
+    // never pays for more than what travelled the wire.
     uint32_t crc = 0;
 
     int64_t raw_bytes() const { return raw_length >= 0 ? raw_length : length; }
+  };
+
+  // A stretch of one of `buffers`. An index, not a pointer, so a segment
+  // stays safe to copy and move (a short buffer's bytes live inside it).
+  struct Slice {
+    size_t buffer = 0;
+    size_t offset = 0;
+    size_t length = 0;
   };
 
   std::string data;
   std::vector<PartitionRange> partitions;
   // True once every partition crc has been computed (see io/checksum.h).
   bool sealed = false;
+  // The sliced form; both empty in the contiguous form.
+  std::vector<std::string> buffers;
+  std::vector<std::vector<Slice>> slices;  // per partition
 
-  int64_t total_bytes() const { return static_cast<int64_t>(data.size()); }
+  bool sliced() const { return !slices.empty(); }
+  int64_t total_bytes() const;
   int64_t total_records() const {
     int64_t n = 0;
     for (const PartitionRange& p : partitions) n += p.records;
     return n;
   }
-  // The framed bytes destined for one partition.
+  // The framed bytes destined for one partition. Contiguous form only.
   std::string_view PartitionData(int partition) const;
+  // The same bytes as views in order: one per slice, or the one stretch of
+  // `data`. Valid while the segment is neither modified nor moved.
+  std::vector<std::string_view> PartitionSlices(int partition) const;
+  // The same bytes as one view: into `data`, or gathered into `*scratch`.
+  // For consumers that need contiguous input (a codec, an extent image).
+  std::string_view PartitionBytes(int partition, std::string* scratch) const;
 };
 
 class KvBuffer {
@@ -98,9 +126,10 @@ class KvBuffer {
   // thread count.
   void Sort(ThreadPool* pool);
 
-  // Emits the sorted records as a sealed spill segment. Requires Sort()
-  // first.
-  SpillSegment ToSpill() const;
+  // Emits the sorted records as a spill segment, sealed unless `seal` is
+  // false (a spill that stays resident is never verified, so its CRC pass
+  // would be wasted). Requires Sort() first.
+  SpillSegment ToSpill(bool seal = true) const;
 
   class SortedStream;
   // Streams one partition's records in sorted order straight out of the

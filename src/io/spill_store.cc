@@ -317,11 +317,13 @@ Result<std::string> SpillStore::BuildExtentImage(
     std::vector<StoredSpill::BlockRef>* refs, int64_t* blocks_built) {
   std::string image;
   BufferWriter writer(&image);
+  std::string staged;  // a sliced partition's bytes, cut into blocks
   std::string frame;
   int64_t block_index = 0;
   for (size_t p = 0; p < segment.partitions.size(); ++p) {
     const SpillSegment::PartitionRange& range = segment.partitions[p];
-    const std::string_view data = segment.PartitionData(static_cast<int>(p));
+    const std::string_view data =
+        segment.PartitionBytes(static_cast<int>(p), &staged);
     for (int64_t off = 0; off < range.length; off += options_.block_bytes) {
       const std::string_view chunk = data.substr(
           static_cast<size_t>(off),

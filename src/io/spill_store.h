@@ -247,7 +247,7 @@ class StoredSpill {
     return partitions_;
   }
 
-  // Reads back exactly the bytes SpillSegment::PartitionData(partition)
+  // Reads back exactly the bytes SpillSegment::PartitionSlices(partition)
   // held, decoding blocks through the store's cache. Every frame is
   // CRC-verified; single-bit damage is repaired in place (counted in
   // stats), anything else returns kDataLoss. With `verify_partition_crc`
@@ -298,7 +298,8 @@ class SpillStore {
   SpillStore& operator=(const SpillStore&) = delete;
 
   // Writes `segment` (which must be sealed) as one new extent owned by
-  // (task, attempt). ResourceExhausted/IOError mean no extent was created —
+  // (task, attempt); a sliced segment's partitions are staged into the
+  // extent image in slice order. ResourceExhausted/IOError mean no extent was created —
   // callers degrade to RAM residency; DataLoss means the post-seal scrub
   // found unrepairable damage (the extent is deleted).
   Result<std::shared_ptr<const StoredSpill>> Put(const SpillSegment& segment,

@@ -425,11 +425,24 @@ bool LocalFaultInjector::MaybeCorruptMapOutput(int task, int attempt,
         segment->partitions[static_cast<size_t>(event.partition)];
     if (range.length <= 0) continue;  // nothing to flip
     Rng rng(StreamSeed(seed_, kCorruptStream, task, attempt));
-    const int64_t offset =
-        range.offset + static_cast<int64_t>(
-                           rng.Uniform(static_cast<uint64_t>(range.length)));
+    size_t at = static_cast<size_t>(
+        rng.Uniform(static_cast<uint64_t>(range.length)));
     const int bit = static_cast<int>(rng.Uniform(8));
-    segment->data[static_cast<size_t>(offset)] ^= static_cast<char>(1 << bit);
+    const char flip = static_cast<char>(1 << bit);
+    if (!segment->sliced()) {
+      segment->data[static_cast<size_t>(range.offset) + at] ^= flip;
+    } else {
+      // The same byte of the partition's merge-order bytes, in the spill
+      // buffer that holds it.
+      for (const SpillSegment::Slice& slice :
+           segment->slices[static_cast<size_t>(event.partition)]) {
+        if (at < slice.length) {
+          segment->buffers[slice.buffer][slice.offset + at] ^= flip;
+          break;
+        }
+        at -= slice.length;
+      }
+    }
     corrupted = true;
   }
   return corrupted;

@@ -176,7 +176,7 @@ struct MapCombineStats {
 // watchdog cancellation) stick in status(); once set, further Emits are
 // no-ops and Finalize propagates the error.
 //
-// With the disk spill engine on (`store` non-null), sealed spills go to
+// With the disk spill engine on (`store` non-null), spills go (sealed) to
 // extent files once the attempt's resident spill bytes would exceed
 // JobConf::spill_budget_bytes; admission control degrades an ENOSPC/EIO
 // write back to RAM residency instead of failing the attempt. Residency
@@ -241,20 +241,47 @@ class LocalMapContext final : public MapContext {
   const Status& status() const { return status_; }
 
   // Finishes the task: final flush, merged with any earlier spills into a
-  // single sealed segment.
+  // single sealed segment. Without merge-time combining that segment is
+  // sliced: it owns the spills' bytes and holds each partition as their
+  // merge-ordered slices.
   Result<SpillSegment> Finalize() {
     MRMB_RETURN_IF_ERROR(status_);
     // Hadoop's single-spill shortcut (MapTask.mergeParts): when the final
     // flush is the only spill, the sealed, combined buffer already is the
     // map output, so it never takes a detour through the spill store.
-    if (spills_.empty()) return SealBuffer();
+    if (spills_.empty()) return TakeSpill(/*seal=*/true);
     // Emit appends the record that triggered each earlier spill, so the
     // buffer is non-empty here and at least two spills merge below.
     SpillBuffer();
     MRMB_RETURN_IF_ERROR(status_);  // SpillBuffer can fail a disk write
-    // Multi-spill merge, partition by partition — the same per-partition
-    // merge + final seal MergeSegments performs, so the result is
-    // byte-identical whether each input run sat in RAM or on disk.
+    // Every spill in RAM: a resident one as it is, a stored one read back
+    // (and verified) one partition per buffer. Either way the merged output
+    // is byte-identical.
+    std::vector<SpillSegment> spills;
+    spills.reserve(spills_.size());
+    for (SpillSlot& slot : spills_) {
+      if (slot.stored == nullptr) {
+        spills.push_back(std::move(slot.resident));
+        continue;
+      }
+      SpillSegment read;
+      read.partitions = slot.stored->partitions();
+      read.slices.resize(read.partitions.size());
+      for (size_t p = 0; p < read.partitions.size(); ++p) {
+        Result<std::string> run = slot.stored->ReadPartition(
+            static_cast<int>(p), /*verify_partition_crc=*/true);
+        if (!run.ok()) {
+          return Annotate(run.status(),
+                          StringPrintf("map task %d attempt %d: reading "
+                                       "spill back from disk",
+                                       task_id_, attempt_));
+        }
+        read.slices[p] = {{p, 0, run->size()}};
+        read.buffers.push_back(std::move(run).value());
+      }
+      spills.push_back(std::move(read));
+    }
+    spills_.clear();
     const RawComparator* comparator = ComparatorFor(conf_.record.type);
     // Merge-time combining (mapreduce.map.combine.minspills): when enough
     // spills fold into the final output, the combiner re-runs over each
@@ -262,62 +289,44 @@ class LocalMapContext final : public MapContext {
     // collapsed before a byte hits the wire.
     const bool merge_combine =
         combiner_ != nullptr && conf_.min_spills_for_combine > 0 &&
-        spills_.size() >= static_cast<size_t>(conf_.min_spills_for_combine);
-    const size_t num_partitions = static_cast<size_t>(conf_.num_reduces);
-    SpillSegment out;
-    int64_t total_bytes = 0;
-    for (const SpillSlot& slot : spills_) {
-      total_bytes += slot.stored != nullptr ? slot.stored->logical_bytes()
-                                            : slot.resident.total_bytes();
-    }
-    out.data.reserve(static_cast<size_t>(total_bytes));
-    out.partitions.resize(num_partitions);
-    for (size_t p = 0; p < num_partitions; ++p) {
-      SpillSegment::PartitionRange& range = out.partitions[p];
-      range.offset = static_cast<int64_t>(out.data.size());
-      // Disk-sourced runs are owned strings (verified on read); resident
-      // runs are zero-copy views, unverified exactly like the all-RAM path
-      // (nothing can have corrupted them yet).
-      std::vector<std::string> owned;
-      owned.reserve(spills_.size());
-      std::vector<FramedRun> runs;
-      runs.reserve(spills_.size());
-      for (const SpillSlot& slot : spills_) {
-        if (slot.stored != nullptr) {
-          Result<std::string> run = slot.stored->ReadPartition(
-              static_cast<int>(p), /*verify_partition_crc=*/true);
-          if (!run.ok()) {
-            return Annotate(run.status(),
-                            StringPrintf("map task %d attempt %d: reading "
-                                         "spill back from disk",
-                                         task_id_, attempt_));
-          }
-          owned.push_back(std::move(run).value());
-          runs.push_back({{owned.back()}, -1});
-        } else {
-          runs.push_back(
-              {{slot.resident.PartitionData(static_cast<int>(p))}, -1});
-        }
-      }
-      // The merged records (or the combiner's output) land straight in
-      // the map output.
-      Result<MergeAppendStats> merged =
-          MergeAndAppend(runs, comparator,
-                         merge_combine ? combiner_.get() : nullptr, conf_,
-                         task_id_, &out.data);
+        spills.size() >= static_cast<size_t>(conf_.min_spills_for_combine);
+    if (!merge_combine) {
+      // The output is the spills' own bytes in merge order: no record is
+      // copied, and the seal streams each partition's CRC over its slices.
+      Result<SpillSegment> merged =
+          MergeSpillsToSlices(std::move(spills), comparator);
       if (!merged.ok()) {
         return Annotate(merged.status(),
                         StringPrintf("map task %d: merging spills", task_id_));
       }
-      if (merge_combine) {
-        combine_.merge_input_records += merged->merged_records;
-        combine_.merge_input_bytes += merged->merged_bytes;
-        combine_.combine_micros +=
-            static_cast<int64_t>(merged->combine_seconds * 1e6);
-        combine_removed_ += merged->merged_records - merged->records;
-        combine_.merge_output_records += merged->records;
-        combine_.merge_output_bytes += merged->bytes;
+      SealSegment(&merged.value());
+      return merged;
+    }
+    const size_t num_partitions = static_cast<size_t>(conf_.num_reduces);
+    SpillSegment out;
+    out.partitions.resize(num_partitions);
+    for (size_t p = 0; p < num_partitions; ++p) {
+      SpillSegment::PartitionRange& range = out.partitions[p];
+      range.offset = static_cast<int64_t>(out.data.size());
+      std::vector<FramedRun> runs;
+      runs.reserve(spills.size());
+      for (const SpillSegment& spill : spills) {
+        runs.push_back({spill.PartitionSlices(static_cast<int>(p)), -1});
       }
+      // The combiner's output lands straight in the map output.
+      Result<MergeAppendStats> merged = MergeAndAppend(
+          runs, comparator, combiner_.get(), conf_, task_id_, &out.data);
+      if (!merged.ok()) {
+        return Annotate(merged.status(),
+                        StringPrintf("map task %d: merging spills", task_id_));
+      }
+      combine_.merge_input_records += merged->merged_records;
+      combine_.merge_input_bytes += merged->merged_bytes;
+      combine_.combine_micros +=
+          static_cast<int64_t>(merged->combine_seconds * 1e6);
+      combine_removed_ += merged->merged_records - merged->records;
+      combine_.merge_output_records += merged->records;
+      combine_.merge_output_bytes += merged->bytes;
       range.records = merged->records;
       range.length = static_cast<int64_t>(out.data.size()) - range.offset;
     }
@@ -334,25 +343,26 @@ class LocalMapContext final : public MapContext {
   int64_t spill_degradations() const { return spill_degradations_; }
 
  private:
-  // One sealed spill, resident in RAM or parked in an extent file.
+  // One spill, resident in RAM (unsealed) or parked in an extent file.
   struct SpillSlot {
     SpillSegment resident;  // valid iff stored == nullptr
     std::shared_ptr<const StoredSpill> stored;
   };
 
-  // Sorts, seals and (per-spill) combines the buffer's contents, leaving
-  // the buffer empty. Each call is one spill in spill_count(). With a
-  // combiner, the combined spill is built straight from the sorted buffer.
-  SpillSegment SealBuffer() {
+  // Sorts and (per-spill) combines the buffer's contents into one spill,
+  // sealed when `seal` is set, leaving the buffer empty. Each call is one
+  // spill in spill_count(). With a combiner, the combined spill is built
+  // straight from the sorted buffer.
+  SpillSegment TakeSpill(bool seal) {
     buffer_.Sort(sort_pool_.get());
     ++spill_count_;
     SpillSegment spill;
     if (combiner_ == nullptr) {
-      spill = buffer_.ToSpill();
+      spill = buffer_.ToSpill(seal);
     } else {
       const auto t0 = Clock::now();
       spill = CombineSegment(buffer_, ComparatorFor(conf_.record.type),
-                             combiner_.get(), conf_, task_id_);
+                             combiner_.get(), conf_, task_id_, seal);
       combine_.combine_micros +=
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 t0)
@@ -367,13 +377,16 @@ class LocalMapContext final : public MapContext {
     return spill;
   }
 
-  // Seals the buffer as one spill and parks it: in an extent file once the
+  // Takes the buffer as one spill and parks it: in an extent file once the
   // attempt's resident spill bytes would exceed the budget, else in RAM.
+  // Only a spill bound for the store is sealed: a resident one is merged
+  // straight out of RAM, and nothing verifies it.
   void SpillBuffer() {
-    SpillSegment spill = SealBuffer();
+    SpillSegment spill = TakeSpill(/*seal=*/false);
     const int64_t bytes = spill.total_bytes();
     if (store_ != nullptr && resident_spill_bytes_ + bytes >
                                  spill_budget_bytes_) {
+      SealSegment(&spill);
       Result<std::shared_ptr<const StoredSpill>> stored =
           store_->Put(spill, task_id_, attempt_);
       if (stored.ok()) {
@@ -856,7 +869,7 @@ MergePlan BuildMergePlan(int num_leaves, int merge_factor) {
 // MergeManager:
 //
 //   map commit --publish(gen)--> per-reduce fetch queues --> drain events
-//     (verify CRC once per (stream, gen), zero-copy view into the sealed
+//     (verify CRC once per (stream, gen), zero-copy slices of the sealed
 //      segment, fold ready merge-plan nodes) --> all inputs current
 //     --> final task (bounded-fan-in merge + reduce function).
 //
@@ -927,16 +940,16 @@ class PipelinedJob {
   }
 
  private:
-  // One fetched stream partition, stamped with its generation. `view` is
-  // the merge-ready framed records: a zero-copy slice of the shared
-  // `segment` (in process, resident, codec off) or this reduce's own copy
-  // in `decompressed` (read back from disk, decompressed once, or fetched
-  // over the wire).
+  // One fetched stream partition, stamped with its generation. `slices`
+  // are the merge-ready framed records: the shared `segment`'s own slices
+  // of the partition (in process, resident, codec off), or one view of
+  // this reduce's own copy in `decompressed` (read back from disk,
+  // decompressed once, or fetched over the wire).
   struct FetchedInput {
     std::shared_ptr<const SpillSegment> segment;
     int generation = -1;  // -1 = nothing fetched yet
     std::string decompressed;
-    std::string_view view;
+    std::vector<std::string_view> slices;
   };
 
   // One merge-plan node's fold. Without a combiner at folds the merged run
@@ -1645,9 +1658,9 @@ class PipelinedJob {
     }
     input = std::move(fetched);
     input.generation = gen;
-    input.view = input.segment != nullptr
-                     ? input.segment->PartitionData(r)
-                     : std::string_view(input.decompressed);
+    input.slices = input.segment != nullptr
+                       ? input.segment->PartitionSlices(r)
+                       : std::vector<std::string_view>{input.decompressed};
   }
 
   // Invalidates every intermediate merge that folded stream `s`'s bytes.
@@ -1732,7 +1745,7 @@ class PipelinedJob {
         for (const StreamRef& child : node.children) {
           if (child.leaf >= 0) {
             runs.push_back(
-                {{rs->inputs[static_cast<size_t>(child.leaf)].view},
+                {rs->inputs[static_cast<size_t>(child.leaf)].slices,
                  child.leaf});
           } else {
             runs.push_back(
@@ -2096,7 +2109,7 @@ class PipelinedJob {
       std::unique_ptr<SegmentReader> reader;
       if (ref.leaf >= 0) {
         reader = std::make_unique<SegmentReader>(
-            rs->inputs[static_cast<size_t>(ref.leaf)].view,
+            rs->inputs[static_cast<size_t>(ref.leaf)].slices,
             comparator_->type());
         spans.emplace_back(ref.leaf, ref.leaf + 1);
       } else {

@@ -46,6 +46,7 @@ Result<SlicedRun> MergeFramedRuns(const std::vector<FramedRun>& runs,
           out.slices.back().data(), out.slices.back().size() + record.size());
     } else {
       out.slices.push_back(record);
+      out.inputs.push_back(input);
       last_input = input;
     }
     out.records += 1;
@@ -100,6 +101,83 @@ Result<MergeAppendStats> MergeAndAppend(
   return stats;
 }
 
+Result<SpillSegment> MergeSpillsToSlices(std::vector<SpillSegment> spills,
+                                         const RawComparator* comparator) {
+  if (spills.empty()) {
+    return Status::InvalidArgument("a merge needs at least one spill");
+  }
+  const size_t num_partitions = spills[0].partitions.size();
+  SpillSegment out;
+  // runs[p][i]: spill i's sorted run of partition p, a stretch of
+  // out.buffers.
+  std::vector<std::vector<SpillSegment::Slice>> runs(num_partitions);
+  for (SpillSegment& spill : spills) {
+    if (spill.partitions.size() != num_partitions) {
+      return Status::InvalidArgument(StringPrintf(
+          "cannot merge spills with mismatched partition counts (%zu vs %zu)",
+          spill.partitions.size(), num_partitions));
+    }
+    const size_t base = out.buffers.size();
+    for (size_t p = 0; p < num_partitions; ++p) {
+      SpillSegment::Slice run;
+      if (!spill.sliced()) {
+        run.offset = static_cast<size_t>(spill.partitions[p].offset);
+        run.length = static_cast<size_t>(spill.partitions[p].length);
+      } else if (spill.slices[p].size() > 1) {
+        return Status::InvalidArgument(
+            "a spill to merge holds more than one slice of a partition");
+      } else if (!spill.slices[p].empty()) {
+        run = spill.slices[p][0];
+      }
+      run.buffer += base;
+      runs[p].push_back(run);
+    }
+    if (spill.sliced()) {
+      for (std::string& buffer : spill.buffers) {
+        out.buffers.push_back(std::move(buffer));
+      }
+    } else {
+      out.buffers.push_back(std::move(spill.data));
+    }
+  }
+
+  out.partitions.resize(num_partitions);
+  out.slices.resize(num_partitions);
+  int64_t offset = 0;
+  for (size_t p = 0; p < num_partitions; ++p) {
+    // The views are taken only now that out.buffers holds every spill and
+    // no longer grows.
+    std::vector<FramedRun> framed;
+    framed.reserve(runs[p].size());
+    for (const SpillSegment::Slice& run : runs[p]) {
+      framed.push_back({{run.length == 0
+                             ? std::string_view()
+                             : std::string_view(out.buffers[run.buffer])
+                                   .substr(run.offset, run.length)},
+                        -1});
+    }
+    MRMB_ASSIGN_OR_RETURN(SlicedRun merged,
+                          MergeFramedRuns(framed, comparator));
+    std::vector<SpillSegment::Slice>& slices = out.slices[p];
+    slices.reserve(merged.slices.size());
+    for (size_t j = 0; j < merged.slices.size(); ++j) {
+      const size_t input = merged.inputs[j];
+      const SpillSegment::Slice& run = runs[p][input];
+      slices.push_back(
+          {run.buffer,
+           run.offset + static_cast<size_t>(merged.slices[j].data() -
+                                            framed[input].slices[0].data()),
+           merged.slices[j].size()});
+    }
+    SpillSegment::PartitionRange& range = out.partitions[p];
+    range.offset = offset;
+    range.length = merged.bytes;
+    range.records = merged.records;
+    offset += merged.bytes;
+  }
+  return out;
+}
+
 Result<SpillSegment> MergeSegments(
     const std::vector<const SpillSegment*>& segments,
     const RawComparator* comparator, bool verify_checksums) {
@@ -135,7 +213,7 @@ Result<SpillSegment> MergeSegments(
         MRMB_RETURN_IF_ERROR(
             VerifySegmentPartition(*segment, static_cast<int>(p)));
       }
-      runs.push_back({{segment->PartitionData(static_cast<int>(p))}, -1});
+      runs.push_back({segment->PartitionSlices(static_cast<int>(p)), -1});
     }
     MRMB_ASSIGN_OR_RETURN(SlicedRun merged,
                           MergeFramedRuns(runs, comparator));
@@ -152,13 +230,13 @@ Result<SpillSegment> CompressSegment(MapOutputCodec codec,
   MRMB_CHECK(codec != MapOutputCodec::kNone);
   SpillSegment out;
   out.partitions.resize(segment.partitions.size());
+  std::string staged;  // a sliced partition's bytes, the codec's input
   std::string frame;
   for (size_t p = 0; p < segment.partitions.size(); ++p) {
     SpillSegment::PartitionRange& range = out.partitions[p];
     range.offset = static_cast<int64_t>(out.data.size());
-    MRMB_RETURN_IF_ERROR(
-        BlockCompress(codec, segment.PartitionData(static_cast<int>(p)),
-                      &frame));
+    MRMB_RETURN_IF_ERROR(BlockCompress(
+        codec, segment.PartitionBytes(static_cast<int>(p), &staged), &frame));
     out.data.append(frame);
     range.length = static_cast<int64_t>(out.data.size()) - range.offset;
     range.records = segment.partitions[p].records;
@@ -239,7 +317,7 @@ Result<int64_t> CombineSortedRun(const std::vector<std::string_view>& run,
 SpillSegment CombineSegment(const KvBuffer& buffer,
                             const RawComparator* comparator,
                             Reducer* combiner, const JobConf& conf,
-                            int task_id) {
+                            int task_id, bool seal) {
   MRMB_CHECK(combiner != nullptr);
   SpillSegment out;
   out.partitions.resize(static_cast<size_t>(buffer.num_partitions()));
@@ -253,7 +331,7 @@ SpillSegment CombineSegment(const KvBuffer& buffer,
         CombineGroups(&records, comparator, combiner, conf, task_id, &writer);
     range.length = static_cast<int64_t>(out.data.size()) - range.offset;
   }
-  SealSegment(&out);
+  if (seal) SealSegment(&out);
   return out;
 }
 

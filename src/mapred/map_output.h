@@ -2,11 +2,11 @@
 //
 // When a map task spills more than once, Hadoop merges the sorted spills
 // into a single partition-indexed file that the shuffle then serves.
-// MergeSegments does the same in memory with a k-way merge per partition.
 // Merges never materialise a merged run of their own: MergeFramedRuns
-// returns slices of its inputs' bytes, and every merge that builds a
-// segment appends those slices (or the combiner's output) straight into
-// the segment's data.
+// returns slices of its inputs' bytes. A map output keeps those slices
+// (MergeSpillsToSlices), so each of its bytes is copied once, when its
+// spill is gathered; a merge that runs the combiner, and MergeSegments,
+// append the combiner's output or the slices into a contiguous segment.
 
 #ifndef MRMB_MAPRED_MAP_OUTPUT_H_
 #define MRMB_MAPRED_MAP_OUTPUT_H_
@@ -38,6 +38,8 @@ struct FramedRun {
 // inputs already hold — no record is copied.
 struct SlicedRun {
   std::vector<std::string_view> slices;
+  // Per slice, the index into the merge's `runs` of the run it lies in.
+  std::vector<size_t> inputs;
   int64_t records = 0;
   int64_t bytes = 0;
 };
@@ -81,8 +83,21 @@ Result<MergeAppendStats> MergeAndAppend(
     Reducer* combiner, const JobConf& conf, int task_id, std::string* out,
     std::vector<int>* corrupt_sources = nullptr);
 
+// Merges sorted spills (all with the same partition count) into a map output
+// that owns their bytes instead of copying them: the spills' buffers move
+// into the result, and each of its partitions is the merge-ordered slices
+// MergeFramedRuns returns over the spills' runs of that partition. Nothing
+// is verified or sealed; SealSegment then streams each partition's CRC over
+// its slices in merge order, so the bytes, ranges and CRCs read through
+// PartitionSlices equal those of MergeSegments' contiguous segment over the
+// same spills. Each spill is contiguous or holds at most one slice per
+// partition (a spill read back from the spill store, one buffer per
+// partition). Malformed framing returns DataLoss.
+Result<SpillSegment> MergeSpillsToSlices(std::vector<SpillSegment> spills,
+                                         const RawComparator* comparator);
+
 // Merges sorted spill segments (all with the same partition count) into one
-// sorted, sealed segment. Key order within each partition is decided by
+// contiguous, sorted, sealed segment. Key order within each partition is decided by
 // `comparator`. When `verify_checksums` is set, every input partition range
 // is CRC-verified before it is read (shuffle-read semantics); a mismatch
 // returns DataLoss and no output is produced. A stream that turns out to be
@@ -115,12 +130,12 @@ Result<int64_t> CombineSortedRun(const std::vector<std::string_view>& run,
 
 // Hadoop's per-spill combine pass: runs `combiner` over every key group of
 // every partition of a sorted KvBuffer, reading the records straight out of
-// its arena, and returns the combined, still-sorted, sealed segment. No
-// uncombined spill is gathered.
+// its arena, and returns the combined, still-sorted segment, sealed unless
+// `seal` is false. No uncombined spill is gathered.
 SpillSegment CombineSegment(const KvBuffer& buffer,
                             const RawComparator* comparator,
                             Reducer* combiner, const JobConf& conf,
-                            int task_id);
+                            int task_id, bool seal = true);
 
 }  // namespace mrmb
 

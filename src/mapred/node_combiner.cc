@@ -38,7 +38,10 @@ Result<NodeCombineOutput> BuildNodeCombinedSegment(
     std::vector<FramedRun> runs;
     runs.reserve(members.size());
     for (const NodeCombineMember& member : members) {
-      std::string_view wire;
+      // The member's partition as stored (codec frames when the job
+      // compresses), then as raw framed records: a RAM member's own slices,
+      // or one owned string.
+      std::vector<std::string_view> run;
       if (member.stored != nullptr) {
         Result<std::string> read = member.stored->ReadPartition(
             static_cast<int>(p), conf.checksum_map_output);
@@ -47,7 +50,7 @@ Result<NodeCombineOutput> BuildNodeCombinedSegment(
           return read.status();
         }
         owned.push_back(std::move(read).value());
-        wire = owned.back();
+        run = {owned.back()};
       } else {
         if (conf.checksum_map_output) {
           const Status verify =
@@ -57,20 +60,23 @@ Result<NodeCombineOutput> BuildNodeCombinedSegment(
             return verify;
           }
         }
-        wire = member.segment->PartitionData(static_cast<int>(p));
+        run = member.segment->PartitionSlices(static_cast<int>(p));
       }
       if (codec != MapOutputCodec::kNone) {
+        // Codec outputs are contiguous: the run is one frame.
         std::string raw;
-        const Status decode = BlockDecompress(wire, &raw);
+        const Status decode = BlockDecompress(run[0], &raw);
         if (!decode.ok()) {
           blame(member.map);
           return decode;
         }
         owned.push_back(std::move(raw));
-        wire = owned.back();
+        run = {owned.back()};
       }
-      out.stats.input_bytes += static_cast<int64_t>(wire.size());
-      runs.push_back({{wire}, member.map});
+      for (const std::string_view slice : run) {
+        out.stats.input_bytes += static_cast<int64_t>(slice.size());
+      }
+      runs.push_back({std::move(run), member.map});
     }
     for (const NodeCombineMember& member : members) {
       const auto& ranges = member.stored != nullptr

@@ -94,11 +94,12 @@ bool SendAll(int fd, const char* buf, size_t len) {
 
 // ---- Server ---------------------------------------------------------------
 
-// One queued batch entry. `head` owns
+// One queued batch entry, or one more slice of its body. `head` owns
 // the encoded header — plus the whole body for error/truncated responses —
-// the body is either a view into an anchored segment or a byte range of an
-// extent file. Per-block frames of a durable partition are adjacent on
-// disk, so they were already coalesced into this single contiguous range
+// the body is either a view into an anchored segment (a sliced partition
+// queues one chunk per slice, the later ones with no head) or a byte range
+// of an extent file. Per-block frames of a durable partition are adjacent
+// on disk, so they were already coalesced into this single contiguous range
 // at build time.
 struct OutChunk {
   std::string head;
@@ -499,19 +500,35 @@ bool ShuffleTransportServer::BuildEntry(Connection* conn, uint64_t job_digest,
       return true;
     }
     const SpillSegment::PartitionRange& range = ranges[r];
-    const std::string_view body = segment->PartitionData(r);
+    const std::vector<std::string_view> body = segment->PartitionSlices(r);
     entry.raw_len = range.raw_bytes();
     entry.partition_crc = range.crc;
     entry.records = range.records;
     entry.encoding = FetchEncoding::kPartitionBytes;
-    entry.body_len = static_cast<int64_t>(body.size());
+    entry.body_len = range.length;
     EncodeShuffleBatchEntryHeader(entry, &chunk.head);
-    if (fault == TransportFault::kTruncFrame && !body.empty()) {
-      chunk.head.append(body.substr(0, std::max<size_t>(1, body.size() / 2)));
+    if (fault == TransportFault::kTruncFrame && range.length > 0) {
+      // The first half of the body in slice order, then hang up.
+      size_t left =
+          std::max<size_t>(1, static_cast<size_t>(range.length) / 2);
+      for (const std::string_view slice : body) {
+        const size_t take = std::min(left, slice.size());
+        chunk.head.append(slice.substr(0, take));
+        left -= take;
+        if (left == 0) break;
+      }
       conn->close_after_write = true;
     } else {
-      chunk.segment_anchor = std::move(segment);
-      chunk.body = chunk.segment_anchor->PartitionData(r);
+      // One chunk per slice: FlushOutput gathers consecutive chunks' bytes
+      // into its writev calls, so each slice is one body iovec.
+      for (size_t i = 0; i < body.size(); ++i) {
+        if (i > 0) {
+          conn->outq.push_back(std::move(chunk));
+          chunk = OutChunk();
+        }
+        chunk.segment_anchor = segment;
+        chunk.body = body[i];
+      }
     }
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.ram_serves;

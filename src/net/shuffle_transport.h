@@ -24,8 +24,8 @@
 // Zero-copy serving. The server never re-frames or re-checksums sealed
 // bytes on the hot path:
 //   - RAM-resident segments: writev of [entry header | the sealed partition
-//     bytes SpillSegment::PartitionData returns], anchored by a shared_ptr
-//     so the view outlives the write.
+//     bytes SpillSegment::PartitionSlices returns, one iovec per slice],
+//     anchored by a shared_ptr so the views outlive the write.
 //   - Durable extents: the partition's contiguous on-disk byte range —
 //     length-prefixed block-codec frames exactly as StoredSpill wrote them —
 //     is shipped with sendfile(2) (pread+write fallback) straight from the

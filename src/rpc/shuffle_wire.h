@@ -42,7 +42,7 @@
 //
 // Body encodings:
 //   kPartitionBytes — the partition's sealed wire bytes verbatim (what
-//     SpillSegment::PartitionData / StoredSpill::ReadPartition return).
+//     SpillSegment::PartitionSlices / StoredSpill::ReadPartition return).
 //     Served zero-copy from RAM-resident segments via writev.
 //   kFrameStream — the partition's extent byte range verbatim: a sequence
 //     of [fixed32 frame_len][block-codec frame] records exactly as the

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/rng.h"
 #include "io/byte_buffer.h"
@@ -624,6 +625,63 @@ TEST(MergeFramedRunsTest, MalformedRunIsBlamedOnItsSource) {
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(corrupt, std::vector<int>{9});
+}
+
+// A spill short enough for a std::string to hold its bytes inline: one
+// record, in partition 1.
+SpillSegment ShortSpill() {
+  KvBuffer buffer(DataType::kBytesWritable, 4, 64);
+  EXPECT_TRUE(buffer.Append(1, WireBytes("k"), WireBytes("")));
+  buffer.Sort();
+  SpillSegment spill = buffer.ToSpill();
+  EXPECT_LT(spill.data.size(), 16u);
+  return spill;
+}
+
+// A map output kept as its spills' slices reads back as the bytes, ranges
+// and partition CRCs of MergeSegments' contiguous merge of the same spills,
+// and still does once the segment has moved and been copied.
+TEST(MergeSpillsToSlicesTest, MatchesContiguousMergeWithAShortSpill) {
+  std::vector<SpillSegment> spills = ThreeSpills();
+  spills.insert(spills.begin() + 1, ShortSpill());
+  const RawComparator* comparator = ComparatorFor(DataType::kBytesWritable);
+  auto contiguous = MergeSegments(Pointers(spills), comparator);
+  ASSERT_TRUE(contiguous.ok()) << contiguous.status().ToString();
+  auto sliced = MergeSpillsToSlices(spills, comparator);
+  ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+  EXPECT_TRUE(sliced->sliced());
+  EXPECT_TRUE(sliced->data.empty());
+  EXPECT_EQ(sliced->buffers.size(), spills.size());
+  SealSegment(&sliced.value());
+  SpillSegment moved = std::move(sliced).value();
+  const SpillSegment copied = moved;
+  for (const SpillSegment* segment : {&copied, &std::as_const(moved)}) {
+    ASSERT_EQ(segment->partitions.size(), 4u);
+    EXPECT_EQ(segment->total_bytes(), contiguous->total_bytes());
+    EXPECT_TRUE(VerifySegment(*segment).ok());
+    for (int p = 0; p < 4; ++p) {
+      const SpillSegment::PartitionRange& want =
+          contiguous->partitions[static_cast<size_t>(p)];
+      const SpillSegment::PartitionRange& got =
+          segment->partitions[static_cast<size_t>(p)];
+      EXPECT_EQ(Materialise(segment->PartitionSlices(p)),
+                contiguous->PartitionData(p))
+          << "partition " << p;
+      EXPECT_EQ(got.offset, want.offset) << "partition " << p;
+      EXPECT_EQ(got.length, want.length) << "partition " << p;
+      EXPECT_EQ(got.records, want.records) << "partition " << p;
+      EXPECT_EQ(got.crc, want.crc) << "partition " << p;
+    }
+  }
+}
+
+TEST(MergeSpillsToSlicesTest, MalformedSpillIsDataLoss) {
+  std::vector<SpillSegment> spills = ThreeSpills();
+  spills[2].partitions[2].length -= 1;  // cut partition 2's last frame
+  auto sliced = MergeSpillsToSlices(std::move(spills),
+                                    ComparatorFor(DataType::kBytesWritable));
+  ASSERT_FALSE(sliced.ok());
+  EXPECT_EQ(sliced.status().code(), StatusCode::kDataLoss);
 }
 
 // ---- Sliced runs -------------------------------------------------------
