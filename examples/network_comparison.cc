@@ -24,6 +24,10 @@ int main(int argc, char** argv) {
   auto shuffle = flags_or->GetBytes("shuffle", 16 * kGB);
   auto pattern_name = flags_or->GetString("pattern", "avg");
   if (!shuffle.ok() || !pattern_name.ok()) return 2;
+  if (const Status unread = flags_or->CheckAllRead(); !unread.ok()) {
+    std::cerr << unread.ToString() << "\n";
+    return 2;
+  }
   auto pattern = DistributionPatternByName(*pattern_name);
   if (!pattern.ok()) {
     std::cerr << pattern.status().ToString() << "\n";

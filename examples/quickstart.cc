@@ -166,6 +166,10 @@ int main(int argc, char** argv) {
 
   auto local = flags.GetBool("local", false);
   if (!local.ok()) return fail(local.status());
+  {
+    const mrmb::Status status = flags.CheckAllRead();
+    if (!status.ok()) return fail(status);
+  }
   if (*local) {
     // Functional mode runs real bytes through the task-attempt engine;
     // default to a shuffle size a workstation chews through quickly unless

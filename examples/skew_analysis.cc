@@ -26,6 +26,10 @@ int main(int argc, char** argv) {
   auto shuffle = flags_or->GetBytes("shuffle", 16 * kGB);
   auto reduces = flags_or->GetInt("reduces", 8);
   if (!shuffle.ok() || !reduces.ok()) return 2;
+  if (const Status unread = flags_or->CheckAllRead(); !unread.ok()) {
+    std::cerr << unread.ToString() << "\n";
+    return 2;
+  }
 
   const NetworkProfile slow = OneGigE();
   const NetworkProfile fast = IpoibQdr();

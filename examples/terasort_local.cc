@@ -160,6 +160,10 @@ int main(int argc, char** argv) {
   auto maps = flags_or->GetInt("maps", 4);
   auto reduces = flags_or->GetInt("reduces", 4);
   if (!records.ok() || !maps.ok() || !reduces.ok()) return 2;
+  if (const Status unread = flags_or->CheckAllRead(); !unread.ok()) {
+    std::cerr << unread.ToString() << "\n";
+    return 2;
+  }
 
   JobConf conf;
   conf.job_name = "terasort";

@@ -41,6 +41,10 @@ int main(int argc, char** argv) {
   auto network_name = flags_or->GetString("network", "ipoib-qdr");
   auto slaves = flags_or->GetInt("slaves", 4);
   if (!shuffle.ok() || !network_name.ok() || !slaves.ok()) return 2;
+  if (const Status unread = flags_or->CheckAllRead(); !unread.ok()) {
+    std::cerr << unread.ToString() << "\n";
+    return 2;
+  }
   auto network = NetworkProfileByName(*network_name);
   if (!network.ok()) {
     std::cerr << network.status().ToString() << "\n";

@@ -30,58 +30,74 @@ Result<Flags> Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
+const std::string* Flags::Find(const std::string& name) const {
+  read_.insert(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool Flags::Has(const std::string& name) const {
-  return values_.count(name) != 0;
+  return Find(name) != nullptr;
 }
 
 Result<std::string> Flags::GetString(const std::string& name,
                                      const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? default_value : *value;
 }
 
 Result<int64_t> Flags::GetInt(const std::string& name,
                               int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
+  const long long v = std::strtoll(value->c_str(), &end, 10);
   if (end == nullptr || *end != '\0') {
     return Status::InvalidArgument("--" + name + " expects an integer, got '" +
-                                   it->second + "'");
+                                   *value + "'");
   }
   return static_cast<int64_t>(v);
 }
 
 Result<double> Flags::GetDouble(const std::string& name,
                                 double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
+  const double v = std::strtod(value->c_str(), &end);
   if (end == nullptr || *end != '\0') {
     return Status::InvalidArgument("--" + name + " expects a number, got '" +
-                                   it->second + "'");
+                                   *value + "'");
   }
   return v;
 }
 
 Result<bool> Flags::GetBool(const std::string& name,
                             bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string v = ToLower(it->second);
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
+  const std::string v = ToLower(*value);
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   return Status::InvalidArgument("--" + name + " expects a boolean, got '" +
-                                 it->second + "'");
+                                 *value + "'");
 }
 
 Result<int64_t> Flags::GetBytes(const std::string& name,
                                 int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return ParseBytes(it->second);
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
+  return ParseBytes(*value);
+}
+
+Status Flags::CheckAllRead() const {
+  std::string unknown;
+  for (const auto& entry : values_) {
+    if (read_.count(entry.first) != 0) continue;
+    unknown += (unknown.empty() ? "--" : ", --") + entry.first;
+  }
+  if (unknown.empty()) return Status::OK();
+  return Status::InvalidArgument("unknown flag(s): " + unknown);
 }
 
 Status ApplyFaultToleranceFlags(const Flags& flags,

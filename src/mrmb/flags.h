@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/status.h"
@@ -25,7 +26,8 @@ class Flags {
   bool help_requested() const { return help_; }
 
   // Typed getters with defaults; flag-value parse errors are returned as
-  // Status so binaries can print usage.
+  // Status so binaries can print usage. Has and every getter record the
+  // name as read, present or not.
   Result<std::string> GetString(const std::string& name,
                                 const std::string& default_value) const;
   Result<int64_t> GetInt(const std::string& name, int64_t default_value) const;
@@ -36,8 +38,17 @@ class Flags {
   Result<int64_t> GetBytes(const std::string& name,
                            int64_t default_value) const;
 
+  // InvalidArgument naming every flag on the command line that nothing
+  // read. Binaries call it once all their reads are done, so a misspelt or
+  // retired flag fails the run instead of silently doing nothing.
+  Status CheckAllRead() const;
+
  private:
+  // The flag's value, or null when absent; records the name as read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   bool help_ = false;
 };
 

@@ -191,6 +191,29 @@ TEST(FlagsTest, HelpAndErrors) {
   }
 }
 
+TEST(FlagsTest, CheckAllReadNamesEveryUnreadFlag) {
+  const char* argv[] = {"prog", "--maps=2", "--no-such-flag=7", "--typo",
+                        "--shuffle=1MB"};
+  auto flags = Flags::Parse(5, const_cast<char**>(argv));
+  ASSERT_TRUE(flags.ok());
+  EXPECT_EQ(*flags->GetInt("maps", 0), 2);
+  EXPECT_TRUE(flags->Has("shuffle"));  // Has is a read too
+  EXPECT_EQ(*flags->GetInt("absent", 3), 3);
+  const Status unread = flags->CheckAllRead();
+  EXPECT_EQ(unread.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unread.message().find("--no-such-flag"), std::string::npos)
+      << unread.ToString();
+  EXPECT_NE(unread.message().find("--typo"), std::string::npos)
+      << unread.ToString();
+  EXPECT_EQ(unread.message().find("--maps"), std::string::npos)
+      << unread.ToString();
+  EXPECT_EQ(unread.message().find("--shuffle"), std::string::npos)
+      << unread.ToString();
+  EXPECT_EQ(*flags->GetInt("no-such-flag", 0), 7);
+  EXPECT_TRUE(*flags->GetBool("typo", false));
+  EXPECT_TRUE(flags->CheckAllRead().ok());
+}
+
 TEST(FlagsTest, BytesAndBools) {
   const char* argv[] = {"prog", "--size=8GB", "--on=yes", "--off=0"};
   auto flags = Flags::Parse(4, const_cast<char**>(argv));

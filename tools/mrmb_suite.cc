@@ -128,6 +128,10 @@ int main(int argc, char** argv) {
   auto csv = flags_or->GetBool("csv", false);
   auto out_path = flags_or->GetString("out", "");
   if (!spec_path.ok() || !csv.ok() || !out_path.ok()) return 2;
+  if (const Status unread = flags_or->CheckAllRead(); !unread.ok()) {
+    std::cerr << unread.ToString() << "\n";
+    return 2;
+  }
 
   std::string text = kDefaultSpec;
   if (!spec_path->empty()) {
