@@ -299,9 +299,9 @@ class SpillStore {
 
   // Writes `segment` (which must be sealed) as one new extent owned by
   // (task, attempt); a sliced segment's partitions are staged into the
-  // extent image in slice order. ResourceExhausted/IOError mean no extent was created —
-  // callers degrade to RAM residency; DataLoss means the post-seal scrub
-  // found unrepairable damage (the extent is deleted).
+  // extent image in slice order. ResourceExhausted/IOError mean no extent
+  // was created — callers degrade to RAM residency; DataLoss means the
+  // post-seal scrub found unrepairable damage (the extent is deleted).
   Result<std::shared_ptr<const StoredSpill>> Put(const SpillSegment& segment,
                                                  int task, int attempt);
 

@@ -188,8 +188,8 @@ class LocalFaultInjector {
   // Applies any corrupt_map event matching (task, attempt): flips one
   // deterministically-chosen bit inside the named partition range of the
   // sealed `segment` (of a sliced segment, in the buffer holding that byte
-  // of the partition's merge-order bytes). Returns true if a bit was flipped (an empty partition
-  // cannot be corrupted).
+  // of the partition's merge-order bytes). Returns true if a bit was
+  // flipped (an empty partition cannot be corrupted).
   bool MaybeCorruptMapOutput(int task, int attempt,
                              SpillSegment* segment) const;
 

@@ -97,11 +97,11 @@ Result<SpillSegment> MergeSpillsToSlices(std::vector<SpillSegment> spills,
                                          const RawComparator* comparator);
 
 // Merges sorted spill segments (all with the same partition count) into one
-// contiguous, sorted, sealed segment. Key order within each partition is decided by
-// `comparator`. When `verify_checksums` is set, every input partition range
-// is CRC-verified before it is read (shuffle-read semantics); a mismatch
-// returns DataLoss and no output is produced. A stream that turns out to be
-// malformed mid-merge also returns DataLoss.
+// contiguous, sorted, sealed segment. Key order within each partition is
+// decided by `comparator`. When `verify_checksums` is set, every input
+// partition range is CRC-verified before it is read (shuffle-read
+// semantics); a mismatch returns DataLoss and no output is produced. A
+// stream that turns out to be malformed mid-merge also returns DataLoss.
 Result<SpillSegment> MergeSegments(
     const std::vector<const SpillSegment*>& segments,
     const RawComparator* comparator, bool verify_checksums = true);

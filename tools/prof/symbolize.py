@@ -109,7 +109,8 @@ class Symbolizer:
 def short_name(name):
     """A demangled name without its parameter list."""
     depth = 0
-    for i, c in enumerate(name.replace("(anonymous namespace)", "{anonymous namespace}")):
+    braced = name.replace("(anonymous namespace)", "{anonymous namespace}")
+    for i, c in enumerate(braced):
         if c in "<{":
             depth += 1
         elif c in ">}":
