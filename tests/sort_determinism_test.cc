@@ -533,6 +533,27 @@ TEST(SortDeterminismTest, ValueOrderIdenticalAfterCorruptMapRecovery) {
   }
 }
 
+// A dropped connection and a truncated body over tcp, with outputs in RAM:
+// the truncation cuts a multi-spill output's body in merge order, the
+// client re-requests both entries on fresh connections, and the values
+// still arrive in the golden order.
+TEST(SortDeterminismTest, ValueOrderIdenticalAfterTransportFaults) {
+  Result<LocalFaultPlan> fault =
+      LocalFaultPlan::Parse("drop_conn:1@a=0;trunc_frame:2@a=0");
+  ASSERT_TRUE(fault.ok()) << fault.status().ToString();
+  for (int merge_factor : {2, 16}) {
+    JobConf conf = ValueOrderConf(merge_factor, OrderPlane{"tcp", true});
+    conf.local_fault_plan = *fault;
+    auto job = RunOrderDigestJob(conf);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    EXPECT_GE(job->transport_retransmits, 2)
+        << "merge_factor=" << merge_factor;
+    EXPECT_EQ(job->map_attempts, 9) << "merge_factor=" << merge_factor;
+    EXPECT_EQ(job->output_fingerprint, kGoldenValueOrderDigest)
+        << "merge_factor=" << merge_factor;
+  }
+}
+
 // The same job on LongWritable records with the sum combiner at every
 // stage, reduce-side folds included (min_spills_for_combine 1).
 TEST(SortDeterminismTest, SummedOutputIdenticalAcrossFoldPlans) {
