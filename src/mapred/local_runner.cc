@@ -281,7 +281,6 @@ class LocalMapContext final : public MapContext {
       }
       spills.push_back(std::move(read));
     }
-    spills_.clear();
     const RawComparator* comparator = ComparatorFor(conf_.record.type);
     // Merge-time combining (mapreduce.map.combine.minspills): when enough
     // spills fold into the final output, the combiner re-runs over each
