@@ -18,6 +18,12 @@ int64_t SpillSegment::total_bytes() const {
   return n;
 }
 
+size_t SpillSegment::slice_count() const {
+  size_t n = 0;
+  for (const std::vector<Slice>& partition : slices) n += partition.size();
+  return n;
+}
+
 std::string_view SpillSegment::PartitionData(int partition) const {
   MRMB_CHECK(!sliced()) << "PartitionData of a sliced segment";
   MRMB_CHECK_GE(partition, 0);
@@ -49,6 +55,22 @@ std::string_view SpillSegment::PartitionBytes(int partition,
     scratch->append(slice);
   }
   return *scratch;
+}
+
+void SpillSegment::Gather() {
+  if (!sliced()) return;
+  std::string gathered;
+  gathered.reserve(static_cast<size_t>(total_bytes()));
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    // A sliced range's offset already is its offset in the concatenation.
+    MRMB_CHECK_EQ(partitions[p].offset, static_cast<int64_t>(gathered.size()));
+    for (const Slice& slice : slices[p]) {
+      gathered.append(buffers[slice.buffer], slice.offset, slice.length);
+    }
+  }
+  data = std::move(gathered);
+  buffers = {};
+  slices = {};
 }
 
 namespace {

@@ -79,6 +79,8 @@ struct SpillSegment {
 
   bool sliced() const { return !slices.empty(); }
   int64_t total_bytes() const;
+  // Slices over all partitions; 0 in the contiguous form.
+  size_t slice_count() const;
   int64_t total_records() const {
     int64_t n = 0;
     for (const PartitionRange& p : partitions) n += p.records;
@@ -92,6 +94,9 @@ struct SpillSegment {
   // The same bytes as one view: into `data`, or gathered into `*scratch`.
   // For consumers that need contiguous input (a codec, an extent image).
   std::string_view PartitionBytes(int partition, std::string* scratch) const;
+  // Turns a sliced segment into the contiguous one with the same bytes and
+  // ranges (CRCs included) and frees its buffers. No-op when contiguous.
+  void Gather();
 };
 
 class KvBuffer {

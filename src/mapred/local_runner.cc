@@ -63,6 +63,12 @@ constexpr int kShuffleLane = 1;
 // fix them.
 constexpr int kTransportFetchAttempts = 3;
 
+// A multi-spill map output stays sliced only while its slices average at
+// least this many bytes. Every reader pays per slice (a CRC call, a view, a
+// body iovec), so when keys interleave across spills and a slice is about
+// one record, one copy into contiguous bytes is the cheaper form.
+constexpr size_t kMinMeanSliceBytes = 1024;
+
 // Prepends attempt context to an error while keeping its code (so callers
 // can still dispatch on kDataLoss / kDeadlineExceeded).
 Status Annotate(const Status& status, const std::string& prefix) {
@@ -243,7 +249,7 @@ class LocalMapContext final : public MapContext {
   // Finishes the task: final flush, merged with any earlier spills into a
   // single sealed segment. Without merge-time combining that segment is
   // sliced: it owns the spills' bytes and holds each partition as their
-  // merge-ordered slices.
+  // merge-ordered slices, unless they are short (kMinMeanSliceBytes).
   Result<SpillSegment> Finalize() {
     MRMB_RETURN_IF_ERROR(status_);
     // Hadoop's single-spill shortcut (MapTask.mergeParts): when the final
@@ -297,6 +303,11 @@ class LocalMapContext final : public MapContext {
       if (!merged.ok()) {
         return Annotate(merged.status(),
                         StringPrintf("map task %d: merging spills", task_id_));
+      }
+      // Short slices cost their readers more than the copy they save.
+      if (static_cast<size_t>(merged->total_bytes()) <
+          kMinMeanSliceBytes * merged->slice_count()) {
+        merged->Gather();
       }
       SealSegment(&merged.value());
       return merged;

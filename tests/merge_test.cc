@@ -675,6 +675,35 @@ TEST(MergeSpillsToSlicesTest, MatchesContiguousMergeWithAShortSpill) {
   }
 }
 
+// Gathering a sliced output gives MergeSegments' contiguous segment, CRCs
+// included, and frees the spill buffers.
+TEST(MergeSpillsToSlicesTest, GatherMatchesContiguousMerge) {
+  std::vector<SpillSegment> spills = ThreeSpills();
+  spills.insert(spills.begin() + 1, ShortSpill());
+  const RawComparator* comparator = ComparatorFor(DataType::kBytesWritable);
+  auto contiguous = MergeSegments(Pointers(spills), comparator);
+  ASSERT_TRUE(contiguous.ok()) << contiguous.status().ToString();
+  auto sliced = MergeSpillsToSlices(spills, comparator);
+  ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+  EXPECT_GT(sliced->slice_count(), sliced->partitions.size());
+  SealSegment(&sliced.value());
+  sliced->Gather();
+  EXPECT_FALSE(sliced->sliced());
+  EXPECT_EQ(sliced->slice_count(), 0u);
+  EXPECT_TRUE(sliced->buffers.empty());
+  EXPECT_EQ(sliced->data, contiguous->data);
+  EXPECT_TRUE(VerifySegment(*sliced).ok());
+  ASSERT_EQ(sliced->partitions.size(), contiguous->partitions.size());
+  for (size_t p = 0; p < contiguous->partitions.size(); ++p) {
+    EXPECT_EQ(sliced->partitions[p].offset, contiguous->partitions[p].offset);
+    EXPECT_EQ(sliced->partitions[p].length, contiguous->partitions[p].length);
+    EXPECT_EQ(sliced->partitions[p].crc, contiguous->partitions[p].crc);
+  }
+  const std::string before = sliced->data;
+  sliced->Gather();  // contiguous: nothing to do
+  EXPECT_EQ(sliced->data, before);
+}
+
 TEST(MergeSpillsToSlicesTest, MalformedSpillIsDataLoss) {
   std::vector<SpillSegment> spills = ThreeSpills();
   spills[2].partitions[2].length -= 1;  // cut partition 2's last frame

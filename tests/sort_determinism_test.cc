@@ -440,6 +440,7 @@ TEST(SortDeterminismTest, JobOutputMatchesGoldenWithBoundedMergeFanIn) {
 // merge. The planes cover both transports, with and without lz4, with the
 // outputs in RAM or every spill and output on disk, and in-node combining
 // (no combiner: the nodes merge their three members' streams into one).
+// Each plane runs both forms of a multi-spill map output (OrderKeys).
 
 // How the value-order job holds and moves its map outputs.
 struct OrderPlane {
@@ -478,6 +479,23 @@ JobConf ValueOrderConf(int merge_factor, const OrderPlane& plane) {
 constexpr uint32_t kGoldenValueOrderDigest = 0xb9be9a4bu;
 constexpr uint32_t kGoldenSummedOutput = 0xb399a2e3u;
 
+// The job's key count decides which form its multi-spill map outputs take.
+// With five keys (each in both partitions) the spills interleave into
+// slices of 560 bytes on average, under Finalize's 1 KB floor, so each
+// output is gathered into contiguous bytes; with two, each partition holds
+// one key and is one 2,800-byte slice per spill, and the outputs stay
+// sliced. Both goldens were captured from the engine that copied every
+// merged map output into a new buffer.
+struct OrderKeys {
+  const char* form;
+  int unique_keys;
+  int64_t reduce_groups;
+  uint32_t golden;
+};
+constexpr OrderKeys kOrderKeys[] = {
+    {"gathered", 5, 10, kGoldenValueOrderDigest},
+    {"sliced", 2, 2, 0x2785a57cu}};
+
 TEST(SortDeterminismTest, ValueOrderIdenticalAcrossFoldPlansAndTransports) {
   const OrderPlane planes[] = {
       kInproc,
@@ -490,21 +508,28 @@ TEST(SortDeterminismTest, ValueOrderIdenticalAcrossFoldPlansAndTransports) {
       {"inproc+node3", false, MapOutputCodec::kNone, false, 3},
       {"tcp+node3", true, MapOutputCodec::kNone, false, 3},
   };
-  for (const OrderPlane& plane : planes) {
-    for (int merge_factor : {2, 3, 16}) {
-      auto job = RunOrderDigestJob(ValueOrderConf(merge_factor, plane));
-      ASSERT_TRUE(job.ok()) << plane.name << ": " << job.status().ToString();
-      EXPECT_GT(job->spill_count, 2 * 9);
-      EXPECT_GT(job->reduce_groups, 2);
-      // Node combining leaves three streams: one fold per reduce at 2.
-      const int64_t folds =
-          plane.node_combine_min_maps == 3
-              ? (merge_factor == 2 ? 2 : 0)
-              : (merge_factor == 2 ? 2 * 7 : merge_factor == 3 ? 2 * 3 : 0);
-      EXPECT_EQ(job->intermediate_merges, folds)
-          << plane.name << " merge_factor=" << merge_factor;
-      EXPECT_EQ(job->output_fingerprint, kGoldenValueOrderDigest)
-          << plane.name << " merge_factor=" << merge_factor;
+  for (const OrderKeys& keys : kOrderKeys) {
+    for (const OrderPlane& plane : planes) {
+      for (int merge_factor : {2, 3, 16}) {
+        JobConf conf = ValueOrderConf(merge_factor, plane);
+        conf.record.num_unique_keys = keys.unique_keys;
+        auto job = RunOrderDigestJob(conf);
+        ASSERT_TRUE(job.ok()) << keys.form << " " << plane.name << ": "
+                              << job.status().ToString();
+        EXPECT_GT(job->spill_count, 2 * 9);
+        EXPECT_EQ(job->reduce_groups, keys.reduce_groups);
+        // Node combining leaves three streams: one fold per reduce at 2.
+        const int64_t folds =
+            plane.node_combine_min_maps == 3
+                ? (merge_factor == 2 ? 2 : 0)
+                : (merge_factor == 2 ? 2 * 7 : merge_factor == 3 ? 2 * 3 : 0);
+        EXPECT_EQ(job->intermediate_merges, folds)
+            << keys.form << " " << plane.name << " merge_factor="
+            << merge_factor;
+        EXPECT_EQ(job->output_fingerprint, keys.golden)
+            << keys.form << " " << plane.name << " merge_factor="
+            << merge_factor;
+      }
     }
   }
 }
@@ -517,18 +542,25 @@ TEST(SortDeterminismTest, ValueOrderIdenticalAcrossFoldPlansAndTransports) {
 TEST(SortDeterminismTest, ValueOrderIdenticalAfterCorruptMapRecovery) {
   Result<LocalFaultPlan> fault = LocalFaultPlan::Parse("corrupt_map:3@a=0,p=1");
   ASSERT_TRUE(fault.ok()) << fault.status().ToString();
-  for (const OrderPlane& plane : {kInproc, OrderPlane{"tcp", true}}) {
-    for (int merge_factor : {2, 16}) {
-      JobConf conf = ValueOrderConf(merge_factor, plane);
-      conf.local_fault_plan = *fault;
-      auto job = RunOrderDigestJob(conf);
-      ASSERT_TRUE(job.ok()) << plane.name << ": " << job.status().ToString();
-      EXPECT_EQ(job->corruptions_detected, 1)
-          << plane.name << " merge_factor=" << merge_factor;
-      EXPECT_EQ(job->map_attempts, 10)
-          << plane.name << " merge_factor=" << merge_factor;
-      EXPECT_EQ(job->output_fingerprint, kGoldenValueOrderDigest)
-          << plane.name << " merge_factor=" << merge_factor;
+  for (const OrderKeys& keys : kOrderKeys) {
+    for (const OrderPlane& plane : {kInproc, OrderPlane{"tcp", true}}) {
+      for (int merge_factor : {2, 16}) {
+        JobConf conf = ValueOrderConf(merge_factor, plane);
+        conf.record.num_unique_keys = keys.unique_keys;
+        conf.local_fault_plan = *fault;
+        auto job = RunOrderDigestJob(conf);
+        ASSERT_TRUE(job.ok()) << keys.form << " " << plane.name << ": "
+                              << job.status().ToString();
+        EXPECT_EQ(job->corruptions_detected, 1)
+            << keys.form << " " << plane.name << " merge_factor="
+            << merge_factor;
+        EXPECT_EQ(job->map_attempts, 10)
+            << keys.form << " " << plane.name << " merge_factor="
+            << merge_factor;
+        EXPECT_EQ(job->output_fingerprint, keys.golden)
+            << keys.form << " " << plane.name << " merge_factor="
+            << merge_factor;
+      }
     }
   }
 }
@@ -541,16 +573,20 @@ TEST(SortDeterminismTest, ValueOrderIdenticalAfterTransportFaults) {
   Result<LocalFaultPlan> fault =
       LocalFaultPlan::Parse("drop_conn:1@a=0;trunc_frame:2@a=0");
   ASSERT_TRUE(fault.ok()) << fault.status().ToString();
-  for (int merge_factor : {2, 16}) {
-    JobConf conf = ValueOrderConf(merge_factor, OrderPlane{"tcp", true});
-    conf.local_fault_plan = *fault;
-    auto job = RunOrderDigestJob(conf);
-    ASSERT_TRUE(job.ok()) << job.status().ToString();
-    EXPECT_GE(job->transport_retransmits, 2)
-        << "merge_factor=" << merge_factor;
-    EXPECT_EQ(job->map_attempts, 9) << "merge_factor=" << merge_factor;
-    EXPECT_EQ(job->output_fingerprint, kGoldenValueOrderDigest)
-        << "merge_factor=" << merge_factor;
+  for (const OrderKeys& keys : kOrderKeys) {
+    for (int merge_factor : {2, 16}) {
+      JobConf conf = ValueOrderConf(merge_factor, OrderPlane{"tcp", true});
+      conf.record.num_unique_keys = keys.unique_keys;
+      conf.local_fault_plan = *fault;
+      auto job = RunOrderDigestJob(conf);
+      ASSERT_TRUE(job.ok()) << keys.form << ": " << job.status().ToString();
+      EXPECT_GE(job->transport_retransmits, 2)
+          << keys.form << " merge_factor=" << merge_factor;
+      EXPECT_EQ(job->map_attempts, 9)
+          << keys.form << " merge_factor=" << merge_factor;
+      EXPECT_EQ(job->output_fingerprint, keys.golden)
+          << keys.form << " merge_factor=" << merge_factor;
+    }
   }
 }
 
