@@ -4,9 +4,9 @@
 //   LD_PRELOAD=build/tools/prof/libmrmb_prof.so build/examples/quickstart
 //   python3 tools/prof/symbolize.py /tmp/prof.*.txt
 //
-// An ITIMER_PROF timer raises SIGPROF every 1/MRMB_PROF_HZ seconds (default
-// 1000) of the process's CPU time, user and system, summed over its
-// threads; the kernel delivers it to the thread that was running, so every
+// An ITIMER_PROF timer raises SIGPROF every millisecond of the process's
+// CPU time, user and system, summed over its threads, and the kernel
+// delivers it to the thread that was running, so every
 // thread is sampled in proportion to the CPU it used (gprof samples only
 // the main thread). The handler records the interrupted program counter
 // and the word at the stack pointer. In a function that has pushed nothing
@@ -38,12 +38,11 @@ struct Sample {
   uintptr_t stack_word;
 };
 
-// 16 MiB of zero pages, touched only as samples arrive: at 1000 Hz on four
-// busy threads, about an hour of CPU time.
+// 16 MiB of zero pages, touched only as samples arrive: one sample per
+// millisecond of CPU time, so about an hour on four busy threads.
 constexpr size_t kMaxSamples = size_t{1} << 20;
 Sample g_samples[kMaxSamples];
 std::atomic<size_t> g_taken{0};
-int g_hz = 1000;
 
 void OnSigprof(int, siginfo_t*, void* context) {
 #if defined(__x86_64__)
@@ -58,17 +57,13 @@ void OnSigprof(int, siginfo_t*, void* context) {
 }
 
 __attribute__((constructor)) void StartSampling() {
-  if (const char* hz = std::getenv("MRMB_PROF_HZ")) {
-    g_hz = std::clamp(std::atoi(hz), 1, 100000);
-  }
   struct sigaction action = {};
   action.sa_sigaction = OnSigprof;
   action.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&action.sa_mask);
   if (sigaction(SIGPROF, &action, nullptr) != 0) return;
   itimerval timer = {};
-  timer.it_interval.tv_sec = g_hz == 1 ? 1 : 0;
-  timer.it_interval.tv_usec = g_hz == 1 ? 0 : 1000000 / g_hz;
+  timer.it_interval.tv_usec = 1000;
   timer.it_value = timer.it_interval;
   setitimer(ITIMER_PROF, &timer, nullptr);
 }
@@ -87,8 +82,8 @@ __attribute__((destructor)) void WriteProfile() {
   }
   const size_t taken = g_taken.load();
   const size_t kept = std::min(taken, kMaxSamples);
-  std::fprintf(out, "# mrmb-prof/1 hz=%d samples=%zu dropped=%zu\nmaps\n",
-               g_hz, kept, taken - kept);
+  std::fprintf(out, "# mrmb-prof/1 samples=%zu dropped=%zu\nmaps\n", kept,
+               taken - kept);
   if (FILE* maps = std::fopen("/proc/self/maps", "r")) {
     char line[4096];
     while (std::fgets(line, sizeof(line), maps) != nullptr) {
