@@ -13,7 +13,11 @@
 //     ground truth for property tests and as the micro-benchmark baseline.
 //   - Crc32cSlicing8: slicing-by-8 software kernel (eight 256-entry tables,
 //     one 8-byte load per iteration) — the portable fast path.
-//   - Crc32cHardware: SSE4.2 `crc32` instruction path (x86 only).
+//   - Crc32cHardware: SSE4.2 `crc32` instruction path (x86 only). On
+//     x86-64 an input of at least 768 bytes runs as three interleaved
+//     streams over 8 KB blocks, then 256 B blocks, joined by table-driven
+//     CRC shifts (the layout of Mark Adler's crc32c.c); the tail and
+//     shorter inputs run on one stream.
 // `Crc32c` dispatches once at first use: hardware when the CPU supports
 // SSE4.2 and the MRMB_DISABLE_HW_CRC32C environment variable is unset/0,
 // otherwise slicing-by-8.

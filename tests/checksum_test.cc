@@ -52,31 +52,41 @@ TEST(Crc32cTest, DetectsSingleBitFlip) {
 // table loop on arbitrary lengths, alignments and chunkings — the slicing
 // and SSE4.2 paths process 8 bytes at a time with scalar head/tail loops,
 // so short inputs, unaligned starts and non-multiple-of-8 tails are
-// exactly where they could diverge.
+// exactly where they could diverge. The SSE4.2 path also runs inputs of
+// 768 B and more as three lanes over 8 KB blocks (24,576 B per round), then
+// 256 B blocks, so the lengths around both thresholds are pinned too.
 
 TEST(Crc32cKernelsTest, FastPathsMatchReferenceOnRandomLengths) {
   Rng rng(0xC12C);
-  std::string buffer(4096, '\0');
+  std::string buffer(73741, '\0');
   rng.Fill(buffer.data(), buffer.size());
-  for (size_t len : {size_t{0}, size_t{1}, size_t{3}, size_t{7}, size_t{8},
-                     size_t{9}, size_t{15}, size_t{16}, size_t{63},
-                     size_t{64}, size_t{255}, size_t{1024}, size_t{4093}}) {
+  for (size_t len :
+       {size_t{0}, size_t{1}, size_t{3}, size_t{7}, size_t{8}, size_t{9},
+        size_t{15}, size_t{16}, size_t{63}, size_t{64}, size_t{255},
+        size_t{767}, size_t{768}, size_t{769}, size_t{1024}, size_t{4093},
+        size_t{24575}, size_t{24576}, size_t{24577}, size_t{73741}}) {
     const std::string_view data(buffer.data(), len);
-    const uint32_t want = Crc32cReference(kCrc32cInit, data);
-    EXPECT_EQ(Crc32cSlicing8(kCrc32cInit, data), want) << "len " << len;
-    EXPECT_EQ(Crc32c(kCrc32cInit, data), want) << "len " << len;
-    if (Crc32cHardwareAvailable()) {
-      EXPECT_EQ(Crc32cHardware(kCrc32cInit, data), want) << "len " << len;
+    // From the initial value and from a running CRC of earlier bytes.
+    for (const uint32_t crc : {kCrc32cInit, 0x9e3779b9u}) {
+      const uint32_t want = Crc32cReference(crc, data);
+      EXPECT_EQ(Crc32cSlicing8(crc, data), want)
+          << "len " << len << " crc " << crc;
+      EXPECT_EQ(Crc32c(crc, data), want) << "len " << len << " crc " << crc;
+      if (Crc32cHardwareAvailable()) {
+        EXPECT_EQ(Crc32cHardware(crc, data), want)
+            << "len " << len << " crc " << crc;
+      }
     }
   }
 }
 
 TEST(Crc32cKernelsTest, FastPathsMatchReferenceOnEveryAlignment) {
   Rng rng(0xA119);
-  std::string buffer(512, '\0');
+  std::string buffer(49163 + 16, '\0');
   rng.Fill(buffer.data(), buffer.size());
   for (size_t offset = 0; offset < 16; ++offset) {
-    for (size_t len : {size_t{5}, size_t{8}, size_t{21}, size_t{100}}) {
+    for (size_t len :
+         {size_t{5}, size_t{8}, size_t{21}, size_t{100}, size_t{49163}}) {
       const std::string_view data(buffer.data() + offset, len);
       const uint32_t want = Crc32cReference(kCrc32cInit, data);
       EXPECT_EQ(Crc32cSlicing8(kCrc32cInit, data), want)
@@ -91,17 +101,20 @@ TEST(Crc32cKernelsTest, FastPathsMatchReferenceOnEveryAlignment) {
 
 TEST(Crc32cKernelsTest, RandomChunkingMatchesOneShot) {
   Rng rng(0xC407);
-  std::string data(2048, '\0');
+  std::string data(100 * 1024, '\0');
   rng.Fill(data.data(), data.size());
   const uint32_t want = Crc32cReference(data);
   for (int trial = 0; trial < 16; ++trial) {
+    // Alternate short pieces with pieces of up to 30 KB, which cross both
+    // of the hardware kernel's block thresholds.
+    const size_t max_chunk = trial % 2 == 0 ? 97 : 30 * 1024;
     uint32_t sliced = kCrc32cInit;
     uint32_t dispatched = kCrc32cInit;
     uint32_t hw = kCrc32cInit;
     size_t at = 0;
     while (at < data.size()) {
       const size_t chunk =
-          std::min(data.size() - at, 1 + rng.Next64() % 97);
+          std::min(data.size() - at, 1 + rng.Next64() % max_chunk);
       const std::string_view piece(data.data() + at, chunk);
       sliced = Crc32cSlicing8(sliced, piece);
       dispatched = Crc32c(dispatched, piece);
