@@ -1075,13 +1075,14 @@ class PipelinedJob {
     FailJob(Annotate(status, "job journal append"));
   }
 
-  // Adds a chunk of reduce-side busy time to the phase accumulators,
+  // Adds a chunk of reduce-side time to `bucket` (shuffle_merge_busy_,
+  // reduce_compute_busy_ or modelled_transfer_, all guarded by mu_),
   // clipping against the end of the map phase for the overlap metric.
-  void AddBusy(Clock::time_point t0, Clock::time_point t1, bool merge_bucket) {
+  void AddBusy(Clock::time_point t0, Clock::time_point t1, double* bucket) {
     const double dur = Seconds(t1 - t0);
     if (dur <= 0) return;
     std::lock_guard<std::mutex> lock(mu_);
-    (merge_bucket ? shuffle_merge_busy_ : reduce_compute_busy_) += dur;
+    *bucket += dur;
     if (!map_phase_done_) {
       overlap_busy_ += dur;
     } else if (map_phase_end_ > t0) {
@@ -1491,9 +1492,10 @@ class PipelinedJob {
       // Modelled transfer time: fixed latency + on-wire bytes / bandwidth
       // per partition, slept once for the batch before the busy window so
       // it lands in the shuffle-wait bucket (lifetime minus busy), not in
-      // merge time. A compressed partition costs proportionally less
-      // wall-clock than its raw form, which is the end-to-end win the codec
-      // knob exists to measure. The tcp plane measures the real wire.
+      // merge time; the overlap metric counts it as shuffle time. A
+      // compressed partition costs proportionally less wall-clock than its
+      // raw form, which is the end-to-end win the codec knob exists to
+      // measure. The tcp plane measures the real wire.
       double transfer_ms = 0;
       for (const FetchWant& want : wants) {
         transfer_ms += static_cast<double>(conf_.fetch_latency_ms);
@@ -1507,8 +1509,10 @@ class PipelinedJob {
         }
       }
       if (transfer_ms > 0) {
+        const auto slept_from = Clock::now();
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(transfer_ms));
+        AddBusy(slept_from, Clock::now(), &modelled_transfer_);
       }
       t0 = Clock::now();
       for (size_t i = 0; i < wants.size(); ++i) {
@@ -1537,7 +1541,7 @@ class PipelinedJob {
     }
     if (any_stored) RunReadyNodes(r, rs);
     const auto t1 = Clock::now();
-    AddBusy(t0, t1, /*merge_bucket=*/true);
+    AddBusy(t0, t1, &shuffle_merge_busy_);
     for (size_t i = 0; i < wants.size(); ++i) {
       // Lost: the first reporter re-executes the producers inline right
       // here, and that time is charged to the map phase, not the shuffle.
@@ -1899,7 +1903,7 @@ class PipelinedJob {
       const auto t0 = Clock::now();
       ReduceAttemptOutcome outcome = RunReduceFinal(r, &rs, attempt, &token);
       const auto t1 = Clock::now();
-      AddBusy(t0, t1, /*merge_bucket=*/false);
+      AddBusy(t0, t1, &reduce_compute_busy_);
       if (outcome.status.ok()) {
         watchdog_.Disarm(ticket);
         if (journal_ != nullptr) {
@@ -2413,6 +2417,9 @@ class PipelinedJob {
   double shuffle_merge_busy_ = 0;
   double reduce_compute_busy_ = 0;
   double shuffle_wait_busy_ = 0;
+  // The in-process plane's slept transfer time: counted in the overlap
+  // metric, never in shuffle_merge_seconds.
+  double modelled_transfer_ = 0;
   double overlap_busy_ = 0;
   LocalJobResult result_;
 };
@@ -2730,7 +2737,8 @@ Status PipelinedJob::Execute(OutputFormat* output_format,
     wait += std::max(0.0, lifetime - rs.drain_busy_seconds);
   }
   result->shuffle_wait_seconds = wait;
-  const double busy = shuffle_merge_busy_ + reduce_compute_busy_;
+  const double busy =
+      shuffle_merge_busy_ + reduce_compute_busy_ + modelled_transfer_;
   result->overlap_efficiency = busy > 0 ? overlap_busy_ / busy : 0;
 
   result->wall_seconds = Seconds(Clock::now() - start);

@@ -243,9 +243,12 @@ struct LocalJobResult {
   double shuffle_merge_seconds = 0;
   // Final merge + reduce function execution.
   double reduce_compute_seconds = 0;
-  // Fraction of reduce-side busy time (merge + compute) that ran while the
-  // map phase was still in progress; 0 when the shuffle never overlaps
-  // (reduce_slowstart = 1.0 or local_threads = 1).
+  // Fraction of reduce-side time that ran while the map phase was still in
+  // progress. Reduce-side time is shuffle_merge_seconds plus
+  // reduce_compute_seconds plus the in-process plane's modelled transfer
+  // (fetch_latency_ms, fetch_bandwidth_mbps), which is slept rather than
+  // busy and so is in neither of the two. 0 when the shuffle never
+  // overlaps (reduce_slowstart = 1.0).
   double overlap_efficiency = 0;
 
   // Real (host) execution time of Run().

@@ -82,14 +82,36 @@ TEST(ShufflePipelineTest, MergeFactorBoundsFanInDeterministically) {
 }
 
 TEST(ShufflePipelineTest, FullBarrierSlowstartNeverOverlaps) {
-  JobConf conf = SmallConf();
-  conf.reduce_slowstart = 1.0;  // reducers wait for the last map commit
-  conf.local_threads = 4;
+  // Also with a modelled transfer: its sleeps start after the last commit.
+  for (const int latency_ms : {0, 2}) {
+    JobConf conf = SmallConf();
+    conf.reduce_slowstart = 1.0;  // reducers wait for the last map commit
+    conf.local_threads = 4;
+    conf.fetch_latency_ms = latency_ms;
+    auto result = LocalJobRunner::RunStandalone(conf);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->overlap_efficiency, 0.0) << "latency " << latency_ms;
+    EXPECT_GT(result->map_phase_seconds, 0.0);
+    EXPECT_GE(result->shuffle_wait_seconds, 0.0);
+  }
+}
+
+TEST(ShufflePipelineTest, ModelledTransferInsideTheMapPhaseOverlaps) {
+  // Map 0 commits at once while map 1 is held for 100 ms. Reduce 0's fetch
+  // of map 0's output sleeps its 200 ms modelled transfer from before map
+  // 1 commits until after, so every verify, fold and final merge starts
+  // after the map phase; only the transfer overlaps it.
+  JobConf conf = WithPlan(SmallConf(/*maps=*/2, /*reduces=*/2),
+                          "delay_map:1@a=0,ms=100");
+  conf.local_threads = 2;
+  conf.reduce_slowstart = 0.0;
+  conf.fetch_latency_ms = 200;
   auto result = LocalJobRunner::RunStandalone(conf);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->overlap_efficiency, 0.0);
-  EXPECT_GT(result->map_phase_seconds, 0.0);
-  EXPECT_GE(result->shuffle_wait_seconds, 0.0);
+  EXPECT_GT(result->overlap_efficiency, 0.0);
+  EXPECT_LT(result->overlap_efficiency, 1.0);
+  // The 800 ms of transfer are slept, not merge work.
+  EXPECT_LT(result->shuffle_merge_seconds, 0.2);
 }
 
 TEST(ShufflePipelineTest, PhaseBreakdownIsPopulated) {
