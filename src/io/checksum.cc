@@ -189,16 +189,15 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cHardware(
   size_t len = data.size();
   crc = ~crc;
 #if defined(__x86_64__)
+  uint64_t crc64 = crc;
   if (len >= 3 * kCrc32cShortBlock) {
     // Align the lanes' loads to 8 bytes, then run three lanes over long
     // blocks and short blocks; the tail below finishes on one stream.
     while ((reinterpret_cast<uintptr_t>(p) & 7) != 0) {
-      crc = _mm_crc32_u8(crc, static_cast<uint8_t>(*p++));
+      crc64 = _mm_crc32_u8(static_cast<uint32_t>(crc64),
+                           static_cast<uint8_t>(*p++));
       --len;
     }
-  }
-  uint64_t crc64 = crc;
-  if (len >= 3 * kCrc32cShortBlock) {
     const Crc32cShiftTables& shift = ShiftTables();
     for (; len >= 3 * kCrc32cLongBlock; len -= 3 * kCrc32cLongBlock) {
       crc64 = Crc32cThreeLanes<kCrc32cLongBlock>(crc64, p, shift.long_block);
