@@ -83,10 +83,11 @@ namespace {
 // writes touch them. A call holds the address-space lock over its whole
 // window, and a thread that maps or unmaps meanwhile waits for it, as does
 // every call queued behind that thread; a page fault holds no such lock.
-// So the window is small: the kernel's cost per page is the same at 64 KB
-// as at 4 MB, but the lock is held for 16 pages at a time, not 800 (a
-// 3.3 MB spill). The advice is only a hint: on any error (EINVAL before
-// Linux 5.14, say) the pages fault in as they are written.
+// So the window is small: the kernel's cost per page does not grow as the
+// window shrinks, and a call holds the lock for 16 pages rather than for
+// a whole spill (800 pages at 3.3 MB). The advice is only a hint: on any
+// error (EINVAL before Linux 5.14, say) the pages fault in as they are
+// written.
 void ProvideWritablePages([[maybe_unused]] char* begin,
                           [[maybe_unused]] size_t len) {
 #ifdef MADV_POPULATE_WRITE
